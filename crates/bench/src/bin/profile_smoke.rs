@@ -11,6 +11,9 @@
 //! * the profile reconciles — Σ self wall-µs never exceeds the
 //!   session's wall time (self-times partition the session by
 //!   construction);
+//! * each forwarded wire is decoded once — `host.gles.decode` fires
+//!   at most once per frame plus once for the setup stream, however
+//!   many replicas ingest it;
 //! * the profiler's own overhead stays far from pathological (the
 //!   ≤5 % design target is printed; only a ≥50 % blowup hard-fails,
 //!   since a single CI run of a sub-second session is noisy).
@@ -115,6 +118,23 @@ fn main() -> ExitCode {
     }
     if self_us > wall_us {
         eprintln!("FAIL: profile does not reconcile: sum(self) {self_us} us > wall {wall_us} us");
+        failed = true;
+    }
+    let decodes: u64 = snap
+        .paths
+        .iter()
+        .filter(|p| p.leaf() == names::host::GLES_DECODE)
+        .map(|p| p.calls)
+        .sum();
+    println!(
+        "  {decodes} wire decodes for {} frames (limit frames + 1)",
+        report.frames
+    );
+    if decodes > report.frames + 1 {
+        eprintln!(
+            "FAIL: {decodes} wire decodes for {} frames: each wire must decode once",
+            report.frames
+        );
         failed = true;
     }
     if overhead_pct >= 50.0 {

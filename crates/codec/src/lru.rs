@@ -14,6 +14,7 @@
 //! verified by the mirror tests below.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use gbooster_telemetry::{names, Counter, Registry};
 
@@ -38,6 +39,29 @@ impl CacheToken {
     /// True when the cache replaced the body with a reference (a hit).
     pub fn is_ref(&self) -> bool {
         matches!(self, CacheToken::Ref(_))
+    }
+}
+
+/// Hasher for the cache's `u64` keys. They are already content hashes,
+/// so one multiply-and-fold spreads them over the table; SipHash would
+/// cost more than the rest of a lookup.
+#[derive(Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let h = (self.0 ^ v).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
     }
 }
 
@@ -71,7 +95,7 @@ struct Node {
 #[derive(Clone)]
 pub struct CommandCache {
     capacity: usize,
-    map: HashMap<u64, usize>,
+    map: HashMap<u64, usize, BuildHasherDefault<KeyHasher>>,
     nodes: Vec<Node>,
     free: Vec<usize>,
     head: usize, // most recent
@@ -112,7 +136,7 @@ impl CommandCache {
         assert!(capacity > 0, "cache capacity must be nonzero");
         CommandCache {
             capacity,
-            map: HashMap::with_capacity(capacity),
+            map: HashMap::with_capacity_and_hasher(capacity, Default::default()),
             nodes: Vec::with_capacity(capacity),
             free: Vec::new(),
             head: NIL,
@@ -140,6 +164,16 @@ impl CommandCache {
     /// Sender side: offers a command for transmission. Returns the token
     /// to put on the wire and updates the cache deterministically.
     pub fn offer(&mut self, encoded: &[u8]) -> CacheToken {
+        match self.offer_ref(encoded) {
+            Some(key) => CacheToken::Ref(key),
+            None => CacheToken::Full(encoded.to_vec()),
+        }
+    }
+
+    /// [`CommandCache::offer`] without building the token: `Some(key)`
+    /// on a hit (send a `Ref`), `None` on a miss (send the bytes the
+    /// caller already holds). The cache update is identical.
+    pub fn offer_ref(&mut self, encoded: &[u8]) -> Option<u64> {
         gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         let key = content_key(encoded);
         if let Some(&idx) = self.map.get(&key) {
@@ -148,14 +182,14 @@ impl CommandCache {
                 hits.inc();
             }
             self.touch(idx);
-            CacheToken::Ref(key)
+            Some(key)
         } else {
             self.misses += 1;
             if let Some((_, misses)) = &self.counters {
                 misses.inc();
             }
-            self.insert(key, encoded.to_vec());
-            CacheToken::Full(encoded.to_vec())
+            self.insert(key, encoded);
+            None
         }
     }
 
@@ -165,22 +199,33 @@ impl CommandCache {
     /// — a protocol desynchronization (impossible when both sides start
     /// empty and see the same token stream).
     pub fn accept(&mut self, token: &CacheToken) -> Option<Vec<u8>> {
-        gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
         match token {
-            CacheToken::Ref(key) => {
-                let idx = *self.map.get(key)?;
-                self.touch(idx);
-                Some(self.nodes[idx].value.clone())
-            }
+            CacheToken::Ref(key) => self.accept_ref(*key).map(<[u8]>::to_vec),
             CacheToken::Full(data) => {
-                let key = content_key(data);
-                if let Some(&idx) = self.map.get(&key) {
-                    self.touch(idx);
-                } else {
-                    self.insert(key, data.clone());
-                }
+                self.accept_full(data);
                 Some(data.clone())
             }
+        }
+    }
+
+    /// Receiver side of a `Ref` token: marks the entry used and borrows
+    /// its bytes in place. `None` means the cache desynchronized.
+    pub fn accept_ref(&mut self, key: u64) -> Option<&[u8]> {
+        gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
+        let idx = *self.map.get(&key)?;
+        self.touch(idx);
+        Some(&self.nodes[idx].value)
+    }
+
+    /// Receiver side of a `Full` token: caches `data` (or refreshes it
+    /// when already held), exactly as the sender's miss did.
+    pub fn accept_full(&mut self, data: &[u8]) {
+        gbooster_telemetry::prof_alloc_scope!(names::host::CACHE);
+        let key = content_key(data);
+        if let Some(&idx) = self.map.get(&key) {
+            self.touch(idx);
+        } else {
+            self.insert(key, data);
         }
     }
 
@@ -222,25 +267,21 @@ impl CommandCache {
             .sum()
     }
 
-    fn insert(&mut self, key: u64, value: Vec<u8>) {
+    fn insert(&mut self, key: u64, value: &[u8]) {
         if self.map.len() == self.capacity {
             self.evict_lru();
         }
+        let node = Node {
+            key,
+            value: value.to_vec(),
+            prev: NIL,
+            next: NIL,
+        };
         let idx = if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = Node {
-                key,
-                value,
-                prev: NIL,
-                next: NIL,
-            };
+            self.nodes[idx] = node;
             idx
         } else {
-            self.nodes.push(Node {
-                key,
-                value,
-                prev: NIL,
-                next: NIL,
-            });
+            self.nodes.push(node);
             self.nodes.len() - 1
         };
         self.push_front(idx);

@@ -79,7 +79,121 @@ fn read_u32(data: &[u8], i: usize) -> u32 {
     u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]])
 }
 
-/// Compresses `input` into an LZ4 block.
+/// A reusable LZ4 block compressor.
+///
+/// The match-finder's hash table is allocated once and kept across
+/// calls. Entries are stored as `base + position`, where `base` is a
+/// running offset that advances past every input compressed so far
+/// (reference LZ4's `currentOffset`): an entry below the current
+/// `base` belongs to an earlier input and reads as empty, so no call
+/// has to clear the table. It is cleared only when `base` would wrap.
+/// Match decisions, and so the output bytes, are exactly those of a
+/// fresh table per call.
+pub struct Lz4Compressor {
+    table: Vec<u32>,
+    base: u32,
+}
+
+impl Default for Lz4Compressor {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Lz4Compressor {
+    /// Creates a compressor with an empty hash table.
+    pub fn new() -> Self {
+        Lz4Compressor {
+            table: vec![0; 1 << HASH_BITS],
+            base: 1,
+        }
+    }
+
+    /// Compresses `input` into a new LZ4 block (see [`compress`]).
+    pub fn compress(&mut self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        self.compress_into(input, &mut out);
+        out
+    }
+
+    /// Appends the LZ4 block for `input` to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input` is 4 GiB or longer.
+    pub fn compress_into(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        gbooster_telemetry::prof_scope!(gbooster_telemetry::names::host::LZ4);
+        let n = input.len();
+        if n < MIN_MATCH + 1 {
+            emit_sequence(out, input, 0, 0);
+            return;
+        }
+        assert!(
+            n < u32::MAX as usize,
+            "LZ4 input must be shorter than 4 GiB"
+        );
+        let span = n as u32;
+        if self.base.checked_add(span).is_none() {
+            self.table.fill(0);
+            self.base = 1;
+        }
+        let base = self.base;
+        let mut anchor = 0usize; // start of pending literals
+        let mut i = 0usize;
+        // Leave room so the final literals rule is satisfiable.
+        let search_end = n - MIN_MATCH;
+        while i <= search_end {
+            let h = hash(read_u32(input, i));
+            let entry = self.table[h];
+            self.table[h] = base + i as u32;
+            let candidate = entry.wrapping_sub(base) as usize;
+            // Entries below `base` were stored by earlier inputs.
+            if entry >= base
+                && i - candidate <= MAX_OFFSET
+                && read_u32(input, candidate) == read_u32(input, i)
+            {
+                // Extend the match forward.
+                let mut len = MIN_MATCH;
+                while i + len < n && input[candidate + len] == input[i + len] {
+                    len += 1;
+                }
+                // LZ4 end rule: the block must end with >= 1 literal byte
+                // (real LZ4 requires 5; 1 suffices for our decoder).
+                if i + len >= n {
+                    len = n - i - 1;
+                    if len < MIN_MATCH {
+                        i += 1;
+                        continue;
+                    }
+                }
+                let offset = i - candidate;
+                emit_sequence(out, &input[anchor..i], offset, len);
+                i += len;
+                anchor = i;
+            } else {
+                i += 1;
+            }
+        }
+        // Trailing literals.
+        emit_sequence(out, &input[anchor..], 0, 0);
+        // Every stored entry is below `base + n`, so all of them read as
+        // stale to the next input.
+        self.base += span;
+    }
+}
+
+thread_local! {
+    static COMPRESSOR: std::cell::RefCell<Lz4Compressor> =
+        std::cell::RefCell::new(Lz4Compressor::new());
+}
+
+/// Runs `f` on this thread's shared [`Lz4Compressor`].
+pub fn with_compressor<R>(f: impl FnOnce(&mut Lz4Compressor) -> R) -> R {
+    COMPRESSOR.with(|c| f(&mut c.borrow_mut()))
+}
+
+/// Compresses `input` into an LZ4 block, on this thread's reusable
+/// [`Lz4Compressor`].
 ///
 /// Always succeeds; incompressible data grows by at most
 /// `input.len() / 255 + 16` bytes of framing.
@@ -94,51 +208,7 @@ fn read_u32(data: &[u8], i: usize) -> u32 {
 /// assert_eq!(back, data);
 /// ```
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    gbooster_telemetry::prof_scope!(gbooster_telemetry::names::host::LZ4);
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let n = input.len();
-    if n < MIN_MATCH + 1 {
-        emit_sequence(&mut out, input, 0, 0);
-        return out;
-    }
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut anchor = 0usize; // start of pending literals
-    let mut i = 0usize;
-    // Leave room so the final literals rule is satisfiable.
-    let search_end = n - MIN_MATCH;
-    while i <= search_end {
-        let h = hash(read_u32(input, i));
-        let candidate = table[h];
-        table[h] = i;
-        if candidate != usize::MAX
-            && i - candidate <= MAX_OFFSET
-            && read_u32(input, candidate) == read_u32(input, i)
-        {
-            // Extend the match forward.
-            let mut len = MIN_MATCH;
-            while i + len < n && input[candidate + len] == input[i + len] {
-                len += 1;
-            }
-            // LZ4 end rule: the block must end with >= 1 literal byte
-            // (real LZ4 requires 5; 1 suffices for our decoder).
-            if i + len >= n {
-                len = n - i - 1;
-                if len < MIN_MATCH {
-                    i += 1;
-                    continue;
-                }
-            }
-            let offset = i - candidate;
-            emit_sequence(&mut out, &input[anchor..i], offset, len);
-            i += len;
-            anchor = i;
-        } else {
-            i += 1;
-        }
-    }
-    // Trailing literals.
-    emit_sequence(&mut out, &input[anchor..], 0, 0);
-    out
+    with_compressor(|c| c.compress(input))
 }
 
 /// Emits one sequence. `match_len == 0` means "final literals only".
@@ -215,14 +285,19 @@ pub fn decompress(input: &[u8], max_size: usize) -> Result<Vec<u8>, Lz4Error> {
         if offset == 0 || offset > out.len() {
             return Err(Lz4Error::BadOffset);
         }
-        // Byte-by-byte copy supports overlapping matches.
-        let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
-        }
-        if out.len() > max_size {
+        if out.len() + match_len > max_size {
             return Err(Lz4Error::Truncated);
+        }
+        let start = out.len() - offset;
+        if offset >= match_len {
+            out.extend_from_within(start..start + match_len);
+        } else {
+            // An overlapping match repeats its own output (RLE-style):
+            // copy byte by byte.
+            for k in 0..match_len {
+                let b = out[start + k];
+                out.push(b);
+            }
         }
     }
     Ok(out)
@@ -252,6 +327,138 @@ pub fn ratio(input: &[u8]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The compressor as it was before the table became reusable: a
+    /// fresh `usize` table per call. Kept as the reference that
+    /// [`Lz4Compressor`] must match byte for byte.
+    fn reference_compress(input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(input.len() / 2 + 16);
+        let n = input.len();
+        if n < MIN_MATCH + 1 {
+            emit_sequence(&mut out, input, 0, 0);
+            return out;
+        }
+        let mut table = vec![usize::MAX; 1 << HASH_BITS];
+        let mut anchor = 0usize;
+        let mut i = 0usize;
+        let search_end = n - MIN_MATCH;
+        while i <= search_end {
+            let h = hash(read_u32(input, i));
+            let candidate = table[h];
+            table[h] = i;
+            if candidate != usize::MAX
+                && i - candidate <= MAX_OFFSET
+                && read_u32(input, candidate) == read_u32(input, i)
+            {
+                let mut len = MIN_MATCH;
+                while i + len < n && input[candidate + len] == input[i + len] {
+                    len += 1;
+                }
+                if i + len >= n {
+                    len = n - i - 1;
+                    if len < MIN_MATCH {
+                        i += 1;
+                        continue;
+                    }
+                }
+                emit_sequence(&mut out, &input[anchor..i], i - candidate, len);
+                i += len;
+                anchor = i;
+            } else {
+                i += 1;
+            }
+        }
+        emit_sequence(&mut out, &input[anchor..], 0, 0);
+        out
+    }
+
+    /// A deterministic mix of the inputs the codec sees: tiny blocks,
+    /// runs, GL-like token streams, text, noise, and inputs that repeat
+    /// earlier ones (which a stale table entry would wrongly match).
+    fn mixed_inputs(count: usize) -> Vec<Vec<u8>> {
+        let mut x = 0x9e37_79b9u32;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            x
+        };
+        let mut inputs: Vec<Vec<u8>> = Vec::new();
+        for k in 0..count {
+            let len = match next() % 4 {
+                0 => (next() % 8) as usize,
+                1 => (next() % 300) as usize,
+                2 => (next() % 5_000) as usize,
+                _ => 70_000 + (next() % 2_000) as usize,
+            };
+            let input = match k % 6 {
+                0 => (0..len).map(|_| next() as u8).collect(),
+                1 => vec![(next() % 3) as u8; len],
+                2 => b"glDrawArrays(TRIANGLES,0,3);"
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .take(len)
+                    .collect(),
+                3 => (0..len)
+                    .map(|i| {
+                        if next() % 16 == 0 {
+                            next() as u8
+                        } else {
+                            (i % 97) as u8
+                        }
+                    })
+                    .collect(),
+                4 => (0..len as u32)
+                    .flat_map(|i| (i / 7).to_le_bytes())
+                    .take(len)
+                    .collect(),
+                _ => inputs
+                    .get(next() as usize % k.max(1))
+                    .cloned()
+                    .unwrap_or_default(),
+            };
+            inputs.push(input);
+        }
+        inputs
+    }
+
+    #[test]
+    fn reusable_table_matches_the_fresh_table_reference() {
+        // One thread, one compressor: every input after the first runs
+        // on a table full of the previous inputs' entries.
+        for input in mixed_inputs(400) {
+            let block = compress(&input);
+            assert_eq!(block, reference_compress(&input), "{} bytes", input.len());
+            assert_eq!(decompress(&block, input.len()).unwrap(), input);
+        }
+    }
+
+    #[test]
+    fn base_wrap_clears_the_table_and_keeps_the_output() {
+        let mut c = Lz4Compressor::new();
+        // Start just short of the wrap so the sequence crosses it.
+        c.base = u32::MAX - 150_000;
+        let mut wraps = 0;
+        for input in mixed_inputs(60) {
+            let before = c.base;
+            assert_eq!(
+                c.compress(&input),
+                reference_compress(&input),
+                "{} bytes",
+                input.len()
+            );
+            if c.base < before {
+                wraps += 1;
+            }
+        }
+        assert!(wraps >= 1, "the sequence never reached the wrap");
+        // The thread-local instance takes the same path.
+        with_compressor(|c| c.base = u32::MAX - 10);
+        for input in mixed_inputs(20) {
+            assert_eq!(compress(&input), reference_compress(&input));
+        }
+    }
 
     fn roundtrip(data: &[u8]) {
         let compressed = compress(data);
@@ -346,6 +553,15 @@ mod tests {
             // a panic is not.
             let _ = decompress(&compressed[..cut], data.len());
         }
+    }
+
+    #[test]
+    fn decompress_stops_a_match_past_max_size() {
+        let data = vec![7u8; 1_000];
+        let compressed = compress(&data);
+        assert_eq!(decompress(&compressed, 500), Err(Lz4Error::Truncated));
+        let text: Vec<u8> = b"abcdefgh".repeat(100);
+        assert_eq!(decompress(&compress(&text), 300), Err(Lz4Error::Truncated));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the receiver can always expand a `Ref` token; a miss is a protocol
 //! violation surfaced as [`GBoosterError::CacheDesync`].
 
-use gbooster_codec::lru::{CacheToken, CommandCache};
+use gbooster_codec::lru::CommandCache;
 use gbooster_codec::lz4::{self, Lz4Frame};
 use gbooster_gles::command::{ClientMemory, GlCommand};
 use gbooster_gles::serialize::{
@@ -62,6 +62,21 @@ impl ForwardedFrame {
     }
 }
 
+/// Largest scratch buffer the forwarder keeps between frames. Steady-
+/// state frames fit well inside it; a bulk upload (the setup stream,
+/// a scene change's textures) gets a one-off buffer instead of pinning
+/// its size for the rest of the session.
+const SCRATCH_RETAIN_BYTES: usize = 256 * 1024;
+
+/// Clears `buf` for reuse, releasing it when it outgrew the retain cap.
+fn reset_scratch(buf: &mut Vec<u8>) {
+    if buf.capacity() > SCRATCH_RETAIN_BYTES {
+        *buf = Vec::new();
+    } else {
+        buf.clear();
+    }
+}
+
 /// Pre-resolved registry handles for the forwarder counters.
 #[derive(Clone, Debug)]
 struct ForwardCounters {
@@ -93,6 +108,12 @@ pub struct CommandForwarder {
     cache: CommandCache,
     counters: Option<ForwardCounters>,
     attr: Option<AttributionLog>,
+    /// Scratch buffers reused across frames, so a steady-state frame
+    /// allocates no per-command buffers.
+    released: Vec<GlCommand>,
+    encoded: Vec<u8>,
+    tokens: Vec<u8>,
+    attr_entries: Vec<UplinkFrameEntry>,
 }
 
 impl Default for CommandForwarder {
@@ -109,6 +130,10 @@ impl CommandForwarder {
             cache: CommandCache::new(CACHE_CAPACITY),
             counters: None,
             attr: None,
+            released: Vec::new(),
+            encoded: Vec::new(),
+            tokens: Vec::new(),
+            attr_entries: Vec::new(),
         }
     }
 
@@ -147,61 +172,35 @@ impl CommandForwarder {
         gbooster_telemetry::prof_scope!(names::host::FORWARD);
         let hits_before = self.cache.hits();
         let misses_before = self.cache.misses();
-        let mut tokens = Vec::new();
-        let mut raw_bytes = 0usize;
-        let mut command_count = 0usize;
+        // Cleared up front too: an error return leaves partial tokens.
+        self.tokens.clear();
         // Per-(category, outcome) accounting for the attribution tap;
         // first-seen order keeps apportionment deterministic.
-        let mut attr_entries: Vec<UplinkFrameEntry> = Vec::new();
+        self.attr_entries.clear();
+        let mut raw_bytes = 0usize;
+        let mut command_count = 0usize;
         for cmd in commands {
-            for resolved in self.resolver.push(cmd.clone(), mem)? {
-                let mut encoded = Vec::new();
-                encode_command(&resolved, &mut encoded)?;
-                raw_bytes += encoded.len();
+            self.released.clear();
+            let emit = self.resolver.resolve(cmd, mem, &mut self.released)?;
+            let released = std::mem::take(&mut self.released);
+            for resolved in released.iter().chain(emit.then_some(cmd)) {
+                let (raw, cache_hit, token_len) = self.tokenize(resolved)?;
+                raw_bytes += raw;
                 command_count += 1;
-                let token = self.cache.offer(&encoded);
-                let cache_hit = token.is_ref();
-                let token_len = token.wire_bytes();
-                match token {
-                    CacheToken::Ref(key) => {
-                        tokens.push(0x00);
-                        tokens.extend_from_slice(&key.to_le_bytes());
-                    }
-                    CacheToken::Full(bytes) => {
-                        tokens.push(0x01);
-                        tokens.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                        tokens.extend_from_slice(&bytes);
-                    }
-                }
                 if self.attr.is_some() {
-                    let category = command_category(&resolved);
-                    let entry = match attr_entries
-                        .iter_mut()
-                        .find(|e| e.category == category && e.cache_hit == cache_hit)
-                    {
-                        Some(entry) => entry,
-                        None => {
-                            attr_entries.push(UplinkFrameEntry {
-                                category,
-                                cache_hit,
-                                commands: 0,
-                                raw_bytes: 0,
-                                token_bytes: 0,
-                            });
-                            attr_entries.last_mut().unwrap()
-                        }
-                    };
-                    entry.commands += 1;
-                    entry.raw_bytes += encoded.len() as u64;
-                    entry.token_bytes += token_len as u64;
+                    self.attribute(resolved, raw, cache_hit, token_len);
                 }
             }
+            self.released = released;
         }
-        let token_bytes = tokens.len();
-        let (compressed, lz4_frame) = lz4::compress_framed(&tokens);
-        let mut wire = Vec::with_capacity(compressed.len() + 4);
+        let token_bytes = self.tokens.len();
+        let mut wire = Vec::with_capacity(token_bytes / 2 + 20);
         wire.extend_from_slice(&(token_bytes as u32).to_le_bytes());
-        wire.extend_from_slice(&compressed);
+        lz4::with_compressor(|c| c.compress_into(&self.tokens, &mut wire));
+        let lz4_frame = Lz4Frame {
+            input_bytes: token_bytes as u64,
+            output_bytes: (wire.len() - 4) as u64,
+        };
         if let Some(c) = &self.counters {
             c.raw_bytes.add(raw_bytes as u64);
             c.token_bytes.add(token_bytes as u64);
@@ -209,8 +208,10 @@ impl CommandForwarder {
             c.commands.add(command_count as u64);
         }
         if let Some(attr) = &self.attr {
-            attr.record_uplink_frame(&attr_entries, wire.len() as u64);
+            attr.record_uplink_frame(&self.attr_entries, wire.len() as u64);
         }
+        reset_scratch(&mut self.tokens);
+        reset_scratch(&mut self.encoded);
         Ok(ForwardedFrame {
             wire,
             raw_bytes,
@@ -222,6 +223,56 @@ impl CommandForwarder {
         })
     }
 
+    /// Encodes one resolved command, offers it to the LRU cache and
+    /// appends its token to the frame's token stream. Returns the
+    /// encoded length, whether the cache hit, and the token's length.
+    fn tokenize(&mut self, cmd: &GlCommand) -> Result<(usize, bool, usize), GBoosterError> {
+        self.encoded.clear();
+        encode_command(cmd, &mut self.encoded)?;
+        let start = self.tokens.len();
+        let hit = match self.cache.offer_ref(&self.encoded) {
+            Some(key) => {
+                self.tokens.push(0x00);
+                self.tokens.extend_from_slice(&key.to_le_bytes());
+                true
+            }
+            None => {
+                self.tokens.push(0x01);
+                self.tokens
+                    .extend_from_slice(&(self.encoded.len() as u32).to_le_bytes());
+                self.tokens.extend_from_slice(&self.encoded);
+                false
+            }
+        };
+        Ok((self.encoded.len(), hit, self.tokens.len() - start))
+    }
+
+    /// Folds one command into this frame's attribution entries.
+    fn attribute(&mut self, cmd: &GlCommand, raw: usize, cache_hit: bool, token_len: usize) {
+        let category = command_category(cmd);
+        let idx = match self
+            .attr_entries
+            .iter()
+            .position(|e| e.category == category && e.cache_hit == cache_hit)
+        {
+            Some(idx) => idx,
+            None => {
+                self.attr_entries.push(UplinkFrameEntry {
+                    category,
+                    cache_hit,
+                    commands: 0,
+                    raw_bytes: 0,
+                    token_bytes: 0,
+                });
+                self.attr_entries.len() - 1
+            }
+        };
+        let entry = &mut self.attr_entries[idx];
+        entry.commands += 1;
+        entry.raw_bytes += raw as u64;
+        entry.token_bytes += token_len as u64;
+    }
+
     /// Lifetime cache hit rate.
     pub fn cache_hit_rate(&self) -> f64 {
         self.cache.hit_rate()
@@ -231,6 +282,24 @@ impl CommandForwarder {
     pub fn cache_resident_bytes(&self) -> usize {
         self.cache.resident_bytes()
     }
+}
+
+/// Tokens in a token stream, counted by their length fields alone so the
+/// decoded frame is allocated once. Exact for a well-formed stream; a
+/// malformed one is rejected by the decode pass, and every token spans
+/// at least 5 bytes, so the count never exceeds `tokens.len() / 5`.
+fn token_count(tokens: &[u8]) -> usize {
+    let (mut i, mut count) = (0usize, 0usize);
+    while i < tokens.len() {
+        i += match tokens[i] {
+            0x00 => 9,
+            _ => tokens.get(i + 1..i + 5).map_or(5, |len| {
+                5 + u32::from_le_bytes(len.try_into().expect("slice is 4 bytes")) as usize
+            }),
+        };
+        count += 1;
+    }
+    count
 }
 
 /// The service-device receiver: the inverse pipeline.
@@ -278,12 +347,14 @@ impl ServiceReceiver {
                 tokens.len()
             )));
         }
-        let mut commands = Vec::new();
+        let mut commands = Vec::with_capacity(token_count(&tokens));
         let mut i = 0usize;
         while i < tokens.len() {
             let tag = tokens[i];
             i += 1;
-            let encoded = match tag {
+            // Commands decode straight from the token stream (`Full`) or
+            // from the borrowed cache slot (`Ref`): no body is copied.
+            let encoded: &[u8] = match tag {
                 0x00 => {
                     let bytes = tokens
                         .get(i..i + 8)
@@ -291,7 +362,7 @@ impl ServiceReceiver {
                     i += 8;
                     let key = u64::from_le_bytes(bytes.try_into().expect("slice is 8 bytes"));
                     self.cache
-                        .accept(&CacheToken::Ref(key))
+                        .accept_ref(key)
                         .ok_or(GBoosterError::CacheDesync(key))?
                 }
                 0x01 => {
@@ -302,17 +373,15 @@ impl ServiceReceiver {
                         as usize;
                     i += 4;
                     let body = tokens
-                        .get(i..i + len)
-                        .ok_or_else(|| GBoosterError::Codec("truncated command body".into()))?
-                        .to_vec();
+                        .get(i..i.saturating_add(len))
+                        .ok_or_else(|| GBoosterError::Codec("truncated command body".into()))?;
                     i += len;
-                    self.cache
-                        .accept(&CacheToken::Full(body))
-                        .expect("full tokens always decode")
+                    self.cache.accept_full(body);
+                    body
                 }
                 other => return Err(GBoosterError::Codec(format!("unknown token tag {other}"))),
             };
-            let (cmd, used) = decode_command(&encoded)?;
+            let (cmd, used) = decode_command(encoded)?;
             if used != encoded.len() {
                 return Err(GBoosterError::Codec("trailing bytes after command".into()));
             }
@@ -435,6 +504,58 @@ mod tests {
             ratio < 0.7,
             "combined ratio {ratio} exceeds the paper's 70%"
         );
+    }
+
+    /// The forwarder built from the public one-shot pieces — `push`,
+    /// a fresh `Vec` per encoded command, `offer` tokens, `compress` —
+    /// as the reference for the scratch-buffer hot path.
+    fn reference_wire(
+        resolver: &mut DeferredResolver,
+        cache: &mut CommandCache,
+        commands: &[GlCommand],
+        mem: &ClientMemory,
+    ) -> Vec<u8> {
+        let mut tokens = Vec::new();
+        for cmd in commands {
+            for resolved in resolver.push(cmd.clone(), mem).unwrap() {
+                let mut encoded = Vec::new();
+                encode_command(&resolved, &mut encoded).unwrap();
+                match cache.offer(&encoded) {
+                    gbooster_codec::lru::CacheToken::Ref(key) => {
+                        tokens.push(0x00);
+                        tokens.extend_from_slice(&key.to_le_bytes());
+                    }
+                    gbooster_codec::lru::CacheToken::Full(bytes) => {
+                        tokens.push(0x01);
+                        tokens.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                        tokens.extend_from_slice(&bytes);
+                    }
+                }
+            }
+        }
+        let mut wire = (tokens.len() as u32).to_le_bytes().to_vec();
+        wire.extend_from_slice(&lz4::compress(&tokens));
+        wire
+    }
+
+    #[test]
+    fn scratch_buffers_reproduce_the_reference_wire_bytes() {
+        let mut gen = TraceGenerator::new(GenreProfile::action(), 1.0, 320, 240, 11);
+        let (mut tx, mut rx) = (CommandForwarder::new(), ServiceReceiver::new());
+        tx.attach_attribution(AttributionLog::new());
+        let (mut resolver, mut cache) =
+            (DeferredResolver::new(), CommandCache::new(CACHE_CAPACITY));
+        let setup = gen.setup_trace();
+        let mut frames = vec![setup.commands];
+        for _ in 0..40 {
+            frames.push(gen.next_frame(1.0 / 30.0).commands);
+        }
+        for frame in &frames {
+            let fwd = tx.forward_frame(frame, gen.client_memory()).unwrap();
+            let want = reference_wire(&mut resolver, &mut cache, frame, gen.client_memory());
+            assert_eq!(fwd.wire, want);
+            assert_eq!(rx.receive(&fwd.wire).unwrap().len(), fwd.command_count);
+        }
     }
 
     #[test]

@@ -175,6 +175,11 @@ impl ServiceRuntime {
 
     /// Decodes a wire frame into commands (does not apply them).
     ///
+    /// The session engine does not call this per replica: every node's
+    /// receiver mirrors the phone-side reference receiver, so the engine
+    /// decodes each wire once there and applies the commands here with
+    /// [`Self::apply_frame`]. A standalone runtime decodes its own wire.
+    ///
     /// # Errors
     ///
     /// Propagates receiver decode errors.

@@ -588,6 +588,8 @@ struct OffloadEngine {
     /// Resource-attribution sink shared with the forwarder and transport
     /// taps; the engine adds the stage-time and downlink-kind axes.
     attr: AttributionLog,
+    /// Attribution label of each service node (`node{j}`).
+    node_labels: Vec<String>,
     /// The live-ops runtime: windowed streams, SLO burn-rate alerting,
     /// anomaly detection, and incident correlation (`None` when the
     /// ops layer is disabled in config).
@@ -628,18 +630,21 @@ struct OffloadEngine {
     node_events: Vec<NodeEvent>,
     next_event: usize,
     partitions: Vec<LinkPartition>,
-    /// Phone-side reference GL state: every forwarded wire frame is also
-    /// decoded here (and, with the radio fully down, raw state commands
-    /// apply directly), so a rejoining node can be brought current with
-    /// one snapshot transfer instead of a history replay.
+    /// Phone-side reference GL state: every forwarded wire frame's
+    /// state-mutating commands also apply here (and, with the radio
+    /// fully down, raw state commands apply directly), so a rejoining
+    /// node can be brought current with one snapshot transfer instead of
+    /// a history replay.
     reference_ctx: GlContext,
     /// The reference state right after the setup stream: the immutable
     /// segment every replica holds (and keeps across death — shared
     /// segments are content-addressed). Rejoin resyncs ship only the
     /// delta against this baseline.
     setup_snapshot: gbooster_gles::state::StateSnapshot,
-    /// Phone-side mirror of the sender's LRU dictionary; a clone hands a
-    /// rejoining node a decoder that resolves future `Ref` tokens.
+    /// Phone-side mirror of the sender's LRU dictionary, and of every
+    /// replica's receiver: each forwarded wire is decoded once, here,
+    /// for all of them. A clone hands a rejoining node a decoder that
+    /// resolves future `Ref` tokens.
     reference_rx: ServiceReceiver,
     slo: SloConfig,
     /// Frame-latency EWMA in ms (0 = no samples yet / reset on release).
@@ -766,24 +771,8 @@ impl OffloadEngine {
             encode,
             dispatch_at,
         );
-        let mut commands = Vec::new();
-        for (j, rt) in self.runtimes.iter_mut().enumerate() {
-            if self.node_dead[j] {
-                continue;
-            }
-            let cmds = rt.decode(&fwd.wire)?;
-            if j == decision.node {
-                // The dispatch target runs the per-session validation
-                // pass before touching shared replica state; a stream
-                // our own tracegen produced must never trip it.
-                let stats = rt.apply_frame_validated(&cmds, true)?;
-                debug_assert_eq!(stats.commands_rejected, 0, "tracegen stream rejected");
-                commands = cmds;
-            } else {
-                rt.apply_frame(&cmds, false)?;
-            }
-        }
-        self.reference_ingest_wire(&fwd.wire)?;
+        debug_assert!(!self.node_dead[decision.node], "dispatch to a dead node");
+        let commands = self.replicate_wire(&fwd.wire, Some(decision.node))?;
 
         // Phone-side span boundaries. The forwarding cost splits into its
         // sub-stages; the last one ends exactly at `app_done` so integer-
@@ -926,17 +915,43 @@ impl OffloadEngine {
         Ok(())
     }
 
-    /// Decodes a forwarded wire frame into the phone-side reference
-    /// state, exactly as every replica does (state-mutating commands
-    /// only — draws never touch replicated state).
-    fn reference_ingest_wire(&mut self, wire: &[u8]) -> Result<(), GBoosterError> {
+    /// Decodes a forwarded wire frame once and applies it to every live
+    /// replica and to the phone-side reference state.
+    ///
+    /// Every node's receiver runs the same deterministic LRU update over
+    /// the same token stream, and the phone-side `reference_rx` mirrors
+    /// them all (a rejoining node adopts a clone of it), so one decode
+    /// through the mirror yields exactly the commands each node would
+    /// decode for itself. `target` is the dispatch target: it runs the
+    /// per-session validation pass and executes the draws; the other
+    /// replicas and the reference ingest state-mutating commands only.
+    /// Returns the decoded commands (kept with the pending frame for
+    /// re-dispatch).
+    fn replicate_wire(
+        &mut self,
+        wire: &[u8],
+        target: Option<usize>,
+    ) -> Result<Vec<GlCommand>, GBoosterError> {
         let cmds = self.reference_rx.receive(wire)?;
+        for (j, rt) in self.runtimes.iter_mut().enumerate() {
+            if self.node_dead[j] {
+                continue;
+            }
+            if Some(j) == target {
+                // Validation runs before touching shared replica state;
+                // a stream our own tracegen produced must never trip it.
+                let stats = rt.apply_frame_validated(&cmds, true)?;
+                debug_assert_eq!(stats.commands_rejected, 0, "tracegen stream rejected");
+            } else {
+                rt.apply_frame(&cmds, false)?;
+            }
+        }
         for cmd in &cmds {
             if cmd.is_state_mutating() {
                 self.reference_ctx.apply(cmd)?;
             }
         }
-        Ok(())
+        Ok(cmds)
     }
 
     /// Engages the local-render fallback: subsequent frames render on
@@ -1004,14 +1019,7 @@ impl OffloadEngine {
             let textures_used = self.texture_count + if trace.scene_change { 2 } else { 0 };
             self.transport.on_frame(trace.touches, textures_used);
             let up = self.transport.send(fwd.wire.len(), app_done);
-            for (j, rt) in self.runtimes.iter_mut().enumerate() {
-                if self.node_dead[j] {
-                    continue;
-                }
-                let cmds = rt.decode(&fwd.wire)?;
-                rt.apply_frame(&cmds, false)?;
-            }
-            self.reference_ingest_wire(&fwd.wire)?;
+            self.replicate_wire(&fwd.wire, None)?;
             (app_secs, app_done, up)
         } else {
             // Radio dark: the sender cache is frozen (nothing is
@@ -1248,7 +1256,7 @@ impl OffloadEngine {
             .stage(names::stage::DOWNLINK, down_start, down.delivered_at)
             .stage(names::stage::DECODE, decode_start, decode_done)
             .stage(names::stage::DISPLAY_WAIT, decode_done, shown);
-        let service_node = format!("node{}", p.node);
+        let service_node = self.node_labels[p.node].as_str();
         for child in &root.children {
             let hist = match child.name {
                 n if n == names::stage::INTERCEPT => &self.stages.intercept,
@@ -1273,7 +1281,7 @@ impl OffloadEngine {
                     || n == names::stage::RENDER
                     || n == names::stage::ENCODE =>
                 {
-                    (service_node.as_str(), names::attr::IFACE_NONE)
+                    (service_node, names::attr::IFACE_NONE)
                 }
                 _ => (names::attr::NODE_PHONE, names::attr::IFACE_NONE),
             };
@@ -1579,15 +1587,17 @@ fn run_offloaded(
     }
     let setup_wire = forwarder.forward_frame(&setup.commands, gen.client_memory())?;
     let first_up = transport.send(setup_wire.wire.len(), SimTime::ZERO);
-    for rt in &mut runtimes {
-        let cmds = rt.decode(&setup_wire.wire)?;
-        rt.apply_frame(&cmds, false)?;
-    }
-    // Phone-side reference: decodes the same wire stream the replicas
-    // do, so a rejoin snapshot is always current (docs/RESILIENCE.md).
+    // Phone-side reference: mirrors every replica's receiver, so the
+    // wire stream is decoded once, here, and the commands applied to
+    // each replica and to the reference state — a rejoin snapshot is
+    // always current (docs/RESILIENCE.md).
     let mut reference_rx = ServiceReceiver::new();
     let mut reference_ctx = GlContext::new();
-    for cmd in &reference_rx.receive(&setup_wire.wire)? {
+    let setup_cmds = reference_rx.receive(&setup_wire.wire)?;
+    for rt in &mut runtimes {
+        rt.apply_frame(&setup_cmds, false)?;
+    }
+    for cmd in &setup_cmds {
         if cmd.is_state_mutating() {
             reference_ctx.apply(cmd)?;
         }
@@ -1637,6 +1647,9 @@ fn run_offloaded(
         c_fallback_engagements: registry.counter(names::health::FALLBACK_ENGAGEMENTS),
         local_render_hist: registry.histogram(names::stage::LOCAL_RENDER),
         attr: attr.clone(),
+        node_labels: (0..off.service_devices.len())
+            .map(|j| format!("node{j}"))
+            .collect(),
         ops,
         health,
         node_up: vec![true; off.service_devices.len()],

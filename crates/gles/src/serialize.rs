@@ -1048,10 +1048,11 @@ pub fn command_category(cmd: &GlCommand) -> &'static str {
 
 /// Resolves deferred client-memory pointers (Section IV-B).
 ///
-/// Commands flow through [`DeferredResolver::push`]; `VertexAttribPointer`
-/// commands that reference client memory are *held*, and released —
-/// materialized with exact lengths — immediately before the draw call that
-/// reveals how many vertices they cover.
+/// Commands flow through [`DeferredResolver::push`] (or its by-reference
+/// twin [`DeferredResolver::resolve`]); `VertexAttribPointer` commands
+/// that reference client memory are *held*, and released — materialized
+/// with exact lengths — immediately before the draw call that reveals how
+/// many vertices they cover.
 ///
 /// # Examples
 ///
@@ -1083,8 +1084,8 @@ pub fn command_category(cmd: &GlCommand) -> &'static str {
 /// ```
 #[derive(Debug, Default)]
 pub struct DeferredResolver {
-    /// Held `VertexAttribPointer` commands by attribute index.
-    held: HashMap<u32, GlCommand>,
+    /// Held `VertexAttribPointer` commands, sorted by attribute index.
+    held: Vec<(u32, GlCommand)>,
     /// Shadow copy of element-array buffers, to size `DrawElements`.
     element_buffers: HashMap<u32, Arc<Vec<u8>>>,
     bound_element: BufferId,
@@ -1113,73 +1114,92 @@ impl DeferredResolver {
         cmd: GlCommand,
         mem: &ClientMemory,
     ) -> Result<Vec<GlCommand>, WireError> {
-        // Shadow the element-buffer state needed to size DrawElements.
-        match &cmd {
+        let mut out = Vec::new();
+        if self.resolve(&cmd, mem, &mut out)? {
+            out.push(cmd);
+        }
+        Ok(out)
+    }
+
+    /// [`DeferredResolver::push`] by reference: appends the held
+    /// pointers `cmd` releases (materialized) to `released`, and returns
+    /// whether `cmd` itself goes on the wire right after them (`false`
+    /// when it is held). The caller reuses `released` across calls.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError::ClientRead`] if a held pointer cannot be
+    /// materialized when its draw arrives.
+    pub fn resolve(
+        &mut self,
+        cmd: &GlCommand,
+        mem: &ClientMemory,
+        released: &mut Vec<GlCommand>,
+    ) -> Result<bool, WireError> {
+        match cmd {
+            // Shadow the element-buffer state needed to size DrawElements.
             GlCommand::BindBuffer {
                 target: BufferTarget::ElementArray,
                 buffer,
             } => {
                 self.bound_element = *buffer;
+                Ok(true)
             }
             GlCommand::BufferData {
                 target: BufferTarget::ElementArray,
                 data,
                 ..
-            } if !self.bound_element.is_null() => {
-                self.element_buffers
-                    .insert(self.bound_element.raw(), Arc::clone(data));
+            } => {
+                if !self.bound_element.is_null() {
+                    self.element_buffers
+                        .insert(self.bound_element.raw(), Arc::clone(data));
+                }
+                Ok(true)
             }
-            _ => {}
-        }
-
-        match cmd {
-            GlCommand::VertexAttribPointer {
-                index, ref source, ..
-            } if matches!(source, VertexSource::ClientMemory(_)) => {
-                // Defer: transmission postponed until a draw reveals size.
-                self.held.insert(index, cmd);
-                Ok(Vec::new())
-            }
-            GlCommand::VertexAttribPointer { index, .. } => {
-                // A new buffer-backed pointer supersedes any held one.
-                self.held.remove(&index);
-                Ok(vec![cmd])
+            GlCommand::VertexAttribPointer { index, source, .. } => {
+                let slot = self.held.binary_search_by_key(index, |&(i, _)| i);
+                if matches!(source, VertexSource::ClientMemory(_)) {
+                    // Defer: transmission postponed until a draw reveals size.
+                    match slot {
+                        Ok(at) => self.held[at].1 = cmd.clone(),
+                        Err(at) => self.held.insert(at, (*index, cmd.clone())),
+                    }
+                    Ok(false)
+                } else {
+                    // A new buffer-backed pointer supersedes any held one.
+                    if let Ok(at) = slot {
+                        self.held.remove(at);
+                    }
+                    Ok(true)
+                }
             }
             GlCommand::DrawArrays { first, count, .. } => {
-                let mut out = self.release_held(first + count, mem)?;
-                out.push(cmd);
-                Ok(out)
+                self.release_held(first + count, mem, released)?;
+                Ok(true)
             }
             GlCommand::DrawElements {
                 count,
                 index_type,
-                ref indices,
+                indices,
                 ..
             } => {
-                let max_index = self.max_index(count, index_type, indices)?;
-                let mut out = self.release_held(max_index + 1, mem)?;
-                out.push(cmd);
-                Ok(out)
+                let max_index = self.max_index(*count, *index_type, indices)?;
+                self.release_held(max_index + 1, mem, released)?;
+                Ok(true)
             }
-            other => Ok(vec![other]),
+            _ => Ok(true),
         }
     }
 
     /// Materializes every held pointer for `vertex_count` vertices and
-    /// returns them (insertion order is irrelevant — all precede the draw).
+    /// appends them to `out` (in attribute order — all precede the draw).
     fn release_held(
         &mut self,
         vertex_count: u32,
         mem: &ClientMemory,
-    ) -> Result<Vec<GlCommand>, WireError> {
-        if self.held.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut indices: Vec<u32> = self.held.keys().copied().collect();
-        indices.sort_unstable();
-        let mut out = Vec::with_capacity(indices.len());
-        for i in indices {
-            let cmd = self.held.remove(&i).expect("key just listed");
+        out: &mut Vec<GlCommand>,
+    ) -> Result<(), WireError> {
+        for (_, cmd) in self.held.drain(..) {
             let GlCommand::VertexAttribPointer {
                 index,
                 size,
@@ -1189,7 +1209,7 @@ impl DeferredResolver {
                 source: VertexSource::ClientMemory(ptr),
             } = cmd
             else {
-                unreachable!("held map only stores client-memory pointers");
+                unreachable!("held list only stores client-memory pointers");
             };
             let elem = size as u32 * ty.size() as u32;
             let effective_stride = if stride == 0 { elem } else { stride };
@@ -1212,7 +1232,7 @@ impl DeferredResolver {
                 source: VertexSource::Materialized(Arc::new(data)),
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     fn max_index(&self, count: u32, ty: IndexType, src: &IndexSource) -> Result<u32, WireError> {

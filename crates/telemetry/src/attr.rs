@@ -13,6 +13,8 @@
 //! and never change timing, routing, or encoded output. Detached
 //! components skip all bookkeeping.
 
+use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
@@ -119,10 +121,7 @@ impl AttributionLog {
             } else {
                 crate::names::attr::OUTCOME_MISS
             };
-            let cell = state
-                .uplink
-                .entry((entry.category.to_string(), outcome.to_string()))
-                .or_default();
+            let cell = cell_mut(&mut state.uplink, [entry.category, outcome]);
             cell.commands += entry.commands;
             cell.raw_bytes += entry.raw_bytes;
             cell.token_bytes += entry.token_bytes;
@@ -144,7 +143,12 @@ impl AttributionLog {
     /// Records one displayed frame's downlink bytes under `kind`.
     pub fn record_downlink(&self, kind: &str, bytes: u64) {
         let mut state = self.inner.lock().unwrap();
-        let cell = state.downlink.entry(kind.to_string()).or_default();
+        if !state.downlink.contains_key(kind) {
+            state
+                .downlink
+                .insert(kind.to_string(), DownlinkCell::default());
+        }
+        let cell = state.downlink.get_mut(kind).expect("cell inserted above");
         cell.frames += 1;
         cell.bytes += bytes;
     }
@@ -152,10 +156,7 @@ impl AttributionLog {
     /// Records sim time spent in `(stage, node, iface)`.
     pub fn record_stage(&self, stage: &str, node: &str, iface: &str, micros: u64) {
         let mut state = self.inner.lock().unwrap();
-        let cell = state
-            .stages
-            .entry((stage.to_string(), node.to_string(), iface.to_string()))
-            .or_default();
+        let cell = cell_mut(&mut state.stages, [stage, node, iface]);
         cell.micros += micros;
         cell.samples += 1;
     }
@@ -164,10 +165,7 @@ impl AttributionLog {
     /// time axis.
     pub fn record_energy(&self, stage: &str, node: &str, iface: &str, joules: f64) {
         let mut state = self.inner.lock().unwrap();
-        let cell = state
-            .stages
-            .entry((stage.to_string(), node.to_string(), iface.to_string()))
-            .or_default();
+        let cell = cell_mut(&mut state.stages, [stage, node, iface]);
         cell.joules += joules;
         cell.samples += 1;
     }
@@ -175,10 +173,7 @@ impl AttributionLog {
     /// Records one radio transfer for `(direction, iface)`.
     pub fn record_link(&self, direction: &str, iface: &str, bytes: u64, micros: u64) {
         let mut state = self.inner.lock().unwrap();
-        let cell = state
-            .link
-            .entry((direction.to_string(), iface.to_string()))
-            .or_default();
+        let cell = cell_mut(&mut state.link, [direction, iface]);
         cell.transfers += 1;
         cell.bytes += bytes;
         cell.micros += micros;
@@ -188,6 +183,94 @@ impl AttributionLog {
     pub fn snapshot(&self) -> AttributionSnapshot {
         self.inner.lock().unwrap().clone()
     }
+}
+
+/// A `String`-tuple table key viewed as `N` borrowed parts: tables are
+/// looked up by `&str`s, and the owned key is built only when a cell is
+/// first created. Tuples and arrays both order lexicographically, so the
+/// borrowed view orders exactly like the owned key.
+trait StrKey<const N: usize> {
+    fn parts(&self) -> [&str; N];
+}
+
+impl<const N: usize> StrKey<N> for [&str; N] {
+    fn parts(&self) -> [&str; N] {
+        *self
+    }
+}
+
+impl<const N: usize> PartialEq for dyn StrKey<N> + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl<const N: usize> Eq for dyn StrKey<N> + '_ {}
+
+impl<const N: usize> PartialOrd for dyn StrKey<N> + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<const N: usize> Ord for dyn StrKey<N> + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.parts().cmp(&other.parts())
+    }
+}
+
+/// An owned table key with a borrowed [`StrKey`] view.
+trait OwnedKey<const N: usize>: Ord + for<'a> Borrow<dyn StrKey<N> + 'a> {
+    fn owned(parts: [&str; N]) -> Self;
+}
+
+impl StrKey<2> for (String, String) {
+    fn parts(&self) -> [&str; 2] {
+        [&self.0, &self.1]
+    }
+}
+
+impl<'a> Borrow<dyn StrKey<2> + 'a> for (String, String) {
+    fn borrow(&self) -> &(dyn StrKey<2> + 'a) {
+        self
+    }
+}
+
+impl OwnedKey<2> for (String, String) {
+    fn owned([a, b]: [&str; 2]) -> Self {
+        (a.to_string(), b.to_string())
+    }
+}
+
+impl StrKey<3> for (String, String, String) {
+    fn parts(&self) -> [&str; 3] {
+        [&self.0, &self.1, &self.2]
+    }
+}
+
+impl<'a> Borrow<dyn StrKey<3> + 'a> for (String, String, String) {
+    fn borrow(&self) -> &(dyn StrKey<3> + 'a) {
+        self
+    }
+}
+
+impl OwnedKey<3> for (String, String, String) {
+    fn owned([a, b, c]: [&str; 3]) -> Self {
+        (a.to_string(), b.to_string(), c.to_string())
+    }
+}
+
+/// The cell under `parts`, created empty on first use; allocation-free
+/// when the cell already exists.
+fn cell_mut<'m, K: OwnedKey<N>, V: Default, const N: usize>(
+    map: &'m mut BTreeMap<K, V>,
+    parts: [&str; N],
+) -> &'m mut V {
+    let key: &dyn StrKey<N> = &parts;
+    if !map.contains_key(key) {
+        map.insert(K::owned(parts), V::default());
+    }
+    map.get_mut(key).expect("cell inserted above")
 }
 
 /// Largest-remainder apportionment of `wire_total` across entries by
@@ -508,6 +591,32 @@ mod tests {
             commands,
             raw_bytes: raw,
             token_bytes: token,
+        }
+    }
+
+    #[test]
+    fn borrowed_lookups_find_exactly_the_owned_cells() {
+        // Keys whose concatenations collide, share prefixes, or sort
+        // differently part by part than as one string.
+        let keys = [
+            ["a", "bc", "x"],
+            ["ab", "c", "x"],
+            ["a", "b", "cx"],
+            ["", "abc", "x"],
+            ["a", "bc", ""],
+            ["b", "", "a"],
+        ];
+        let log = AttributionLog::new();
+        for (i, [stage, node, iface]) in keys.iter().enumerate() {
+            for _ in 0..=i {
+                log.record_stage(stage, node, iface, 10);
+            }
+        }
+        let snap = log.snapshot();
+        assert_eq!(snap.stages.len(), keys.len());
+        for (i, [stage, node, iface]) in keys.iter().enumerate() {
+            let owned = (stage.to_string(), node.to_string(), iface.to_string());
+            assert_eq!(snap.stages[&owned].samples, i as u64 + 1, "{owned:?}");
         }
     }
 

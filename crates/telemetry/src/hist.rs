@@ -345,8 +345,14 @@ impl HistogramSnapshot {
     /// conservative by at most one bucket width (≤ 1/16 relative), and,
     /// being a pure function of the buckets, it is deterministic and
     /// merge-consistent like the quantiles.
+    ///
+    /// When the exact `max` sits in or below the threshold's bucket no
+    /// bucket past it can be occupied, so the answer is 0 without a scan.
     pub fn count_over(&self, threshold: u64) -> u64 {
         let cut = bucket_index(threshold);
+        if bucket_index(self.max) <= cut {
+            return 0;
+        }
         self.buckets.iter().skip(cut + 1).sum()
     }
 
@@ -562,20 +568,51 @@ impl WindowedHistogramCore {
         self.merged.record_one(v);
     }
 
-    /// Merged distribution of the samples whose slot intersects
-    /// `(now − window, now]`. Slot granularity applies: a slot is
-    /// included as soon as any part of it falls inside the window.
-    pub fn window(&self, now: SimTime, window: SimDuration) -> HistogramSnapshot {
+    /// The retained slots that intersect `(now − window, now]`. Slot
+    /// granularity applies: a slot is included as soon as any part of it
+    /// falls inside the window.
+    fn slots_in(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+    ) -> impl Iterator<Item = &HistogramSnapshot> {
         let now_us = now.as_micros();
         let start_us = now_us.saturating_sub(window.as_micros());
+        let width = self.slot_width_us;
+        self.slots.iter().filter_map(move |(idx, slot)| {
+            let slot_start = idx * width;
+            (slot_start + width > start_us && slot_start <= now_us).then_some(slot)
+        })
+    }
+
+    /// Merged distribution of the samples whose slot intersects
+    /// `(now − window, now]` (see [`Self::slots_in`] for granularity).
+    pub fn window(&self, now: SimTime, window: SimDuration) -> HistogramSnapshot {
         let mut out = HistogramSnapshot::default();
-        for (idx, slot) in &self.slots {
-            let slot_start = idx * self.slot_width_us;
-            if slot_start + self.slot_width_us > start_us && slot_start <= now_us {
-                out.merge(slot);
-            }
+        for slot in self.slots_in(now, window) {
+            out.merge(slot);
         }
         out
+    }
+
+    /// `(count, count_over(threshold))` of the samples whose slot
+    /// intersects `(now − window, now]` — exactly what
+    /// [`WindowedHistogramCore::window`] followed by
+    /// [`HistogramSnapshot::count_over`] returns, because both are sums
+    /// over buckets, but summed per slot in O(slots) with no merge.
+    pub fn window_count_over(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+        threshold: u64,
+    ) -> (u64, u64) {
+        self.slots_in(now, window)
+            .fold((0u64, 0u64), |(count, over), slot| {
+                (
+                    count.saturating_add(slot.count),
+                    over + slot.count_over(threshold),
+                )
+            })
     }
 
     /// The all-time merged view (every sample ever recorded, including
@@ -599,6 +636,7 @@ impl WindowedHistogramCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn bucket_mapping_is_monotone_and_total() {
@@ -744,6 +782,95 @@ mod tests {
         let mut m = a.snapshot();
         m.merge(&b.snapshot());
         assert_eq!(m.count_over(100), s.count_over(100));
+    }
+
+    /// Samples spanning the linear region, the log region, and the clamp.
+    fn samples() -> impl Strategy<Value = Vec<u64>> {
+        proptest::collection::vec(
+            prop_oneof![
+                0u64..128,
+                128u64..100_000,
+                100_000u64..10_000_000_000,
+                Just(u64::MAX),
+            ],
+            0..120,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn count_over_fast_path_equals_full_scan(
+            a in samples(),
+            b in samples(),
+            thresholds in samples(),
+        ) {
+            // Recorded, merged and delta snapshots all carry the `max`
+            // the fast path reads.
+            let (ha, hb) = (HistogramCore::new(), HistogramCore::new());
+            let mut one = HistogramSnapshot::default();
+            for &v in &a {
+                ha.record(v);
+                one.record_one(v);
+            }
+            let earlier = ha.snapshot();
+            for &v in &b {
+                ha.record(v);
+                hb.record(v);
+            }
+            let mut merged = earlier.clone();
+            merged.merge(&hb.snapshot());
+            let delta = ha.snapshot().delta(&earlier);
+            let probes = thresholds
+                .iter()
+                .copied()
+                .chain(a.iter().copied())
+                .chain([0, 127, 128, u64::MAX]);
+            for t in probes {
+                for snap in [&one, &earlier, &merged, &delta] {
+                    let scan: u64 = snap.buckets.iter().skip(bucket_index(t) + 1).sum();
+                    prop_assert_eq!(snap.count_over(t), scan, "threshold {}", t);
+                }
+            }
+        }
+
+        #[test]
+        fn window_count_over_equals_the_merged_window(
+            gaps in proptest::collection::vec(0u64..120_000, 1..150),
+            values in samples(),
+            slot_ms in 1u64..200,
+            retain in 1usize..40,
+            windows in proptest::collection::vec(0u64..3_000_000, 1..8),
+            thresholds in samples(),
+        ) {
+            let mut w = WindowedHistogramCore::new(SimDuration::from_millis(slot_ms), retain);
+            let mut t = SimTime::ZERO;
+            for (gap, &v) in gaps.iter().zip(values.iter().cycle()) {
+                t += SimDuration::from_micros(*gap);
+                w.record(t, v);
+            }
+            let slot_us = slot_ms * 1_000;
+            for (i, &win) in windows.iter().enumerate() {
+                // Query at, before and after the last sample, and with
+                // `now` and the window both on slot boundaries.
+                let now_us = (t.as_micros() + win * i as u64 / 4).saturating_sub(win / 3);
+                let queries = [
+                    (now_us, win),
+                    (now_us / slot_us * slot_us, win / slot_us * slot_us),
+                ];
+                for (now_us, win) in queries {
+                    let (now, window) = (SimTime::from_micros(now_us), SimDuration::from_micros(win));
+                    let merged = w.window(now, window);
+                    for &th in thresholds.iter().chain(&[0, u64::MAX]) {
+                        prop_assert_eq!(
+                            w.window_count_over(now, window, th),
+                            (merged.count(), merged.count_over(th))
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -145,6 +145,22 @@ impl WindowedHistogram {
             .window(now, window)
     }
 
+    /// `(count, count_over(threshold))` over `(now − window, now]`:
+    /// the two numbers a burn rate needs, equal to those of
+    /// [`WindowedHistogram::window`] but without building the merged
+    /// snapshot.
+    pub fn window_count_over(
+        &self,
+        now: SimTime,
+        window: SimDuration,
+        threshold: u64,
+    ) -> (u64, u64) {
+        self.0
+            .lock()
+            .expect("windowed histogram poisoned")
+            .window_count_over(now, window, threshold)
+    }
+
     /// The all-time merged view.
     pub fn merged(&self) -> HistogramSnapshot {
         self.0

@@ -76,23 +76,25 @@ impl SloObjective {
 
     /// Evaluates the objective against its stream at `now`.
     pub fn evaluate(&self, now: SimTime, stream: &WindowedHistogram) -> BurnState {
-        let fast = stream.window(now, self.fast_window);
-        let slow = stream.window(now, self.slow_window);
-        let burn = |snap: &crate::hist::HistogramSnapshot| {
-            if snap.count() == 0 {
+        let (fast_count, fast_over) =
+            stream.window_count_over(now, self.fast_window, self.threshold);
+        let (slow_count, slow_over) =
+            stream.window_count_over(now, self.slow_window, self.threshold);
+        let burn = |count: u64, over: u64| {
+            if count == 0 {
                 0.0
             } else {
-                (snap.count_over(self.threshold) as f64 / snap.count() as f64) / self.budget
+                (over as f64 / count as f64) / self.budget
             }
         };
-        let fast_burn = burn(&fast);
-        let slow_burn = burn(&slow);
+        let fast_burn = burn(fast_count, fast_over);
+        let slow_burn = burn(slow_count, slow_over);
         BurnState {
             objective: self.name,
             fast_burn,
             slow_burn,
-            fast_count: fast.count(),
-            slow_count: slow.count(),
+            fast_count,
+            slow_count,
             breaching: now.saturating_duration_since(SimTime::ZERO) >= self.warmup
                 && fast_burn >= self.fast_burn
                 && slow_burn >= self.slow_burn,
