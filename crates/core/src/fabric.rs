@@ -43,7 +43,9 @@ use gbooster_telemetry::query::QueryError;
 use gbooster_telemetry::sample::{self, FrameVerdict, TailSampler};
 use gbooster_telemetry::trace::{FrameTrace, SpanNode};
 use gbooster_telemetry::tsdb::Tsdb;
-use gbooster_telemetry::{names, ClockOffsetEstimator, Registry, TelemetrySnapshot};
+use gbooster_telemetry::{
+    names, ClockOffsetEstimator, Counter, Histogram, Registry, ScrapeBinding, TelemetrySnapshot,
+};
 use gbooster_workload::games::GameTitle;
 use gbooster_workload::tracegen::TraceGenerator;
 use rand::rngs::StdRng;
@@ -797,6 +799,110 @@ struct TenantState {
     slo_fell_back: bool,
     incidents: u64,
     migrations: u32,
+    /// Per-frame instrument handles, resolved on first use (see
+    /// [`TenantState::latency_hist`]).
+    h_latency: Option<Histogram>,
+    c_uplink: Option<Counter>,
+    c_downlink: Option<Counter>,
+}
+
+impl TenantState {
+    // The per-frame instruments are looked up once and cached, but
+    // lazily: registering them eagerly would put empty series into
+    // the TSDB scrape of a tenant that never used them.
+
+    fn latency_hist(&mut self) -> &Histogram {
+        self.h_latency
+            .get_or_insert_with(|| self.registry.histogram(names::fabric::FRAME_LATENCY))
+    }
+
+    fn uplink_counter(&mut self) -> &Counter {
+        self.c_uplink
+            .get_or_insert_with(|| self.registry.counter(names::fabric::UPLINK_BYTES))
+    }
+
+    fn downlink_counter(&mut self) -> &Counter {
+        self.c_downlink
+            .get_or_insert_with(|| self.registry.counter(names::fabric::DOWNLINK_BYTES))
+    }
+}
+
+/// Tenants whose queue is non-empty, as a bitset over tenant indices.
+/// The fair-share pick scans only these, so a dispatch attempt costs
+/// work in proportion to the backlogged tenants, not the offered ones.
+struct ReadySet(Vec<u64>);
+
+impl ReadySet {
+    fn new(tenants: usize) -> Self {
+        ReadySet(vec![0; tenants.div_ceil(64)])
+    }
+
+    fn set(&mut self, t: usize, ready: bool) {
+        let bit = 1u64 << (t % 64);
+        if ready {
+            self.0[t / 64] |= bit;
+        } else {
+            self.0[t / 64] &= !bit;
+        }
+    }
+
+    fn contains(&self, t: usize) -> bool {
+        self.0[t / 64] & (1u64 << (t % 64)) != 0
+    }
+
+    /// Members in ascending tenant order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            std::iter::successors(Some(word), |&b| Some(b & b.wrapping_sub(1)))
+                .take_while(|&b| b != 0)
+                .map(move |b| w * 64 + b.trailing_zeros() as usize)
+        })
+    }
+}
+
+/// One tenant's per-frame records, ordered by frame seq. Frames enter
+/// near the back (seqs are issued in order) and retire from the front
+/// (presentation is in seq order), so both ends cost O(1) and lookups
+/// binary-search a deque as short as the tenant's in-flight frames.
+struct SeqFifo<T>(VecDeque<(u64, T)>);
+
+impl<T> Default for SeqFifo<T> {
+    fn default() -> Self {
+        SeqFifo(VecDeque::new())
+    }
+}
+
+impl<T> SeqFifo<T> {
+    fn find(&self, seq: u64) -> Result<usize, usize> {
+        self.0.binary_search_by_key(&seq, |e| e.0)
+    }
+
+    /// Inserts (or replaces) the record for `seq`.
+    fn insert(&mut self, seq: u64, value: T) {
+        match self.find(seq) {
+            Ok(i) => self.0[i].1 = value,
+            Err(i) => self.0.insert(i, (seq, value)),
+        }
+    }
+
+    /// The record for `seq`, inserted from `make` when absent.
+    fn entry(&mut self, seq: u64, make: impl FnOnce() -> T) -> &mut T {
+        let i = self.find(seq).unwrap_or_else(|i| {
+            self.0.insert(i, (seq, make()));
+            i
+        });
+        &mut self.0[i].1
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut T> {
+        let i = self.find(seq).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
+    fn take(&mut self, seq: u64) -> Option<T> {
+        let i = self.find(seq).ok()?;
+        self.0.remove(i).map(|(_, v)| v)
+    }
 }
 
 /// One live migration in flight (or finished). `epoch` guards the
@@ -838,8 +944,13 @@ struct PendingFrame {
 struct FabricObserver {
     knobs: ObserveConfig,
     sampler: TailSampler,
-    pending: BTreeMap<(u32, u64), PendingFrame>,
+    /// Waypoints of each tenant's in-flight frames.
+    pending: Vec<SeqFifo<PendingFrame>>,
     tsdb: Tsdb,
+    /// Series ids of the pool registry and of each tenant registry
+    /// (tenant order) for the bound scrape.
+    pool_binding: ScrapeBinding,
+    tenant_bindings: Vec<ScrapeBinding>,
     clocks: Vec<ClockOffsetEstimator>,
     /// Ground-truth per-node service-clock skew, µs (the quantity the
     /// estimators must recover from booking timestamps).
@@ -1030,6 +1141,9 @@ impl SessionManager {
                 slo_fell_back: false,
                 incidents: 0,
                 migrations: 0,
+                h_latency: None,
+                c_uplink: None,
+                c_downlink: None,
             };
             if admitted[i] {
                 // Setup segment upload: partitioned caches pay per
@@ -1049,7 +1163,7 @@ impl SessionManager {
                 };
                 st.uplink_bytes += cost;
                 c_uplink.add(cost);
-                st.registry.counter(names::fabric::UPLINK_BYTES).add(cost);
+                st.uplink_counter().add(cost);
             }
             tenants.push(st);
         }
@@ -1102,8 +1216,13 @@ impl SessionManager {
             heap.push(Reverse((rebalance_interval_us, EV_REBALANCE, 0, 0)));
         }
 
-        // Frames in uplink flight, keyed (tenant, seq).
-        let mut uplinking: BTreeMap<(u32, u64), FrameJob> = BTreeMap::new();
+        // Frames in uplink flight, per tenant.
+        let mut uplinking: Vec<SeqFifo<FrameJob>> =
+            (0..tenants.len()).map(|_| SeqFifo::default()).collect();
+        // Tenants with queued frames (mirrors `!queue.is_empty()`).
+        let mut ready = ReadySet::new(tenants.len());
+        // Reused reorder-buffer drain.
+        let mut ready_frames: Vec<(SimTime, SimTime)> = Vec::new();
         // The frame each node is serving, plus its booking epoch.
         let mut on_node: Vec<Option<(u32, FrameJob, SimTime)>> = vec![None; nodes_n];
         let mut epochs: Vec<u64> = vec![0; nodes_n];
@@ -1129,8 +1248,10 @@ impl SessionManager {
         let mut obs: Option<FabricObserver> = cfg.observe.map(|knobs| FabricObserver {
             knobs,
             sampler: TailSampler::new(knobs.head_interval, knobs.tenant_budget_bytes),
-            pending: BTreeMap::new(),
+            pending: (0..tenants.len()).map(|_| SeqFifo::default()).collect(),
             tsdb: Tsdb::new(knobs.tsdb_slots),
+            pool_binding: ScrapeBinding::default(),
+            tenant_bindings: vec![ScrapeBinding::default(); tenants.len()],
             clocks: (0..nodes_n).map(|_| ClockOffsetEstimator::new()).collect(),
             skew_us: (0..nodes_n)
                 .map(|j| {
@@ -1170,7 +1291,9 @@ impl SessionManager {
                 let st: &mut TenantState = $st;
                 st.reorder.insert($seq, ($present_at, $issued));
                 let base_seq = st.reorder.awaiting();
-                for (k, (ready_at, issued)) in st.reorder.pop_ready().into_iter().enumerate() {
+                ready_frames.clear();
+                st.reorder.pop_ready_into(&mut ready_frames);
+                for (k, &(ready_at, issued)) in ready_frames.iter().enumerate() {
                     let shown = ready_at.max(st.last_present);
                     st.last_present = shown;
                     let lat = shown - issued;
@@ -1185,7 +1308,7 @@ impl SessionManager {
                         // Waypoint cleanup is unconditional, but the
                         // span tree is built inside the closure — only
                         // if the verdict keeps the frame.
-                        let waypoints = o.pending.remove(&($tenant as u32, seq));
+                        let waypoints = o.pending[$tenant].take(seq);
                         let verdict = FrameVerdict {
                             slo_violation: lat.as_micros() as f64 / 1e3 > st.spec.slo_ms,
                             in_incident: open_incident.iter().any(|i| i.is_some()),
@@ -1218,15 +1341,11 @@ impl SessionManager {
                     match tag {
                         Some(tid) => {
                             h_latency.record_tagged(lat.as_micros(), tid);
-                            st.registry
-                                .histogram(names::fabric::FRAME_LATENCY)
-                                .record_tagged(lat.as_micros(), tid);
+                            st.latency_hist().record_tagged(lat.as_micros(), tid);
                         }
                         None => {
                             h_latency.record(lat.as_micros());
-                            st.registry
-                                .histogram(names::fabric::FRAME_LATENCY)
-                                .record(lat.as_micros());
+                            st.latency_hist().record(lat.as_micros());
                         }
                     }
                     st.frames_presented += 1;
@@ -1260,9 +1379,8 @@ impl SessionManager {
                 if let Some(o) = obs.as_mut() {
                     // Phone-rendered: the span tree collapses to one
                     // local_render stage whatever came before.
-                    o.pending
-                        .entry(($tenant as u32, job.seq))
-                        .or_insert(PendingFrame {
+                    o.pending[$tenant]
+                        .entry(job.seq, || PendingFrame {
                             arrived: job.arrived,
                             start: None,
                             finish: None,
@@ -1280,16 +1398,23 @@ impl SessionManager {
             ($now:expr) => {{
                 let now: SimTime = $now;
                 let win = now.as_micros() / WINDOW.as_micros();
-                loop {
-                    // Fair share: the session with the least GPU time
-                    // attained in the current window goes first.
+                // With no idle accepting node, `best_idle_node` is
+                // `None` whatever the fill: nothing can dispatch, so
+                // skip the pick.
+                while dispatcher.has_idle_node(now) {
+                    debug_assert!(tenants
+                        .iter()
+                        .enumerate()
+                        .all(|(t, st)| st.queue.is_empty() != ready.contains(t)));
+                    // Fair share: the backlogged session with the least
+                    // GPU time attained in the current window goes
+                    // first; ties go to the lowest index (`ready`
+                    // iterates in ascending order).
+                    let attained = windows.get(&win);
                     let mut pick: Option<(f64, usize)> = None;
-                    for (t, st) in tenants.iter().enumerate() {
-                        if st.queue.is_empty() {
-                            continue;
-                        }
-                        let got = windows.get(&win).map_or(0.0, |v| v[t]);
-                        if pick.is_none_or(|(g, pt)| got < g || (got == g && t < pt)) {
+                    for t in ready.iter() {
+                        let got = attained.map_or(0.0, |v| v[t]);
+                        if pick.is_none_or(|(g, _)| got < g) {
                             pick = Some((got, t));
                         }
                     }
@@ -1306,6 +1431,9 @@ impl SessionManager {
                         break;
                     }
                     let job = tenants[t].queue.pop_front().expect("non-empty");
+                    if tenants[t].queue.is_empty() {
+                        ready.set(t, false);
+                    }
                     let dec = dispatcher.dispatch_to(
                         node,
                         session_of(t),
@@ -1326,7 +1454,7 @@ impl SessionManager {
                         // Waypoints for the span tree; a redispatch
                         // overwrites with the booking that actually
                         // completes.
-                        if let Some(e) = o.pending.get_mut(&(t as u32, job.seq)) {
+                        if let Some(e) = o.pending[t].get_mut(job.seq) {
                             e.start = Some(dec.start);
                             e.finish = Some(dec.finish);
                         }
@@ -1371,10 +1499,7 @@ impl SessionManager {
                 }
                 tenants[t].uplink_bytes += bytes;
                 c_uplink.add(bytes);
-                tenants[t]
-                    .registry
-                    .counter(names::fabric::UPLINK_BYTES)
-                    .add(bytes);
+                tenants[t].uplink_counter().add(bytes);
                 c_mig_bytes.add(bytes);
                 tenants[t]
                     .registry
@@ -1479,6 +1604,7 @@ impl SessionManager {
                                 } else {
                                     job.arrived = now;
                                     tenants[t].queue.push_front(job);
+                                    ready.set(t, true);
                                 }
                                 tenants[t].redispatches += 1;
                                 c_redispatch.inc();
@@ -1498,6 +1624,7 @@ impl SessionManager {
                                     while let Some(job) = tenants[t].queue.pop_front() {
                                         render_local!(&mut tenants[t], t, job, now);
                                     }
+                                    ready.set(t, false);
                                 }
                             }
                             let kind = if pool_empty { "pool_lost" } else { "node_loss" };
@@ -1554,10 +1681,7 @@ impl SessionManager {
                                         mg.bytes += bytes;
                                         tenants[t].uplink_bytes += bytes;
                                         c_uplink.add(bytes);
-                                        tenants[t]
-                                            .registry
-                                            .counter(names::fabric::UPLINK_BYTES)
-                                            .add(bytes);
+                                        tenants[t].uplink_counter().add(bytes);
                                         c_mig_bytes.add(bytes);
                                         tenants[t]
                                             .registry
@@ -1773,12 +1897,9 @@ impl SessionManager {
                         let down_secs = fabric_link_secs(job.down_bytes, cfg.loss_scale);
                         tenants[t].downlink_bytes += job.down_bytes;
                         c_downlink.add(job.down_bytes);
-                        tenants[t]
-                            .registry
-                            .counter(names::fabric::DOWNLINK_BYTES)
-                            .add(job.down_bytes);
+                        tenants[t].downlink_counter().add(job.down_bytes);
                         if let Some(o) = obs.as_mut() {
-                            if let Some(e) = o.pending.get_mut(&(t as u32, job.seq)) {
+                            if let Some(e) = o.pending[t].get_mut(job.seq) {
                                 e.down_end = Some(now + SimDuration::from_secs_f64(down_secs));
                             }
                             // NTP-style clock recovery from this
@@ -1800,10 +1921,9 @@ impl SessionManager {
                 }
                 EV_ARRIVE => {
                     let t = a as usize;
-                    let job = uplinking
-                        .remove(&(t as u32, b))
-                        .expect("arriving frame was issued");
+                    let job = uplinking[t].take(b).expect("arriving frame was issued");
                     tenants[t].queue.push_back(job);
+                    ready.set(t, true);
                     pump!(now);
                 }
                 EV_ISSUE => {
@@ -1839,13 +1959,10 @@ impl SessionManager {
                         }
                         tenants[t].uplink_bytes += wire;
                         c_uplink.add(wire);
-                        tenants[t]
-                            .registry
-                            .counter(names::fabric::UPLINK_BYTES)
-                            .add(wire);
+                        tenants[t].uplink_counter().add(wire);
                         let arrive = now + SimDuration::from_secs_f64(up_secs);
-                        uplinking.insert(
-                            (t as u32, seq),
+                        uplinking[t].insert(
+                            seq,
                             FrameJob {
                                 seq,
                                 issued: now,
@@ -1856,8 +1973,8 @@ impl SessionManager {
                             },
                         );
                         if let Some(o) = obs.as_mut() {
-                            o.pending.insert(
-                                (t as u32, seq),
+                            o.pending[t].insert(
+                                seq,
                                 PendingFrame {
                                     arrived: arrive,
                                     start: None,
@@ -1878,12 +1995,15 @@ impl SessionManager {
                 }
                 EV_SCRAPE => {
                     if let Some(o) = obs.as_mut() {
-                        pool_registry.scrape_into(&mut o.tsdb, now, &[]);
+                        pool_registry.scrape_into(&mut o.tsdb, now, &[], &mut o.pool_binding);
                         for (i, st) in tenants.iter().enumerate() {
                             if admitted[i] {
-                                let label = &o.tenant_labels[i];
-                                st.registry
-                                    .scrape_into(&mut o.tsdb, now, &[("tenant", label)]);
+                                st.registry.scrape_into(
+                                    &mut o.tsdb,
+                                    now,
+                                    &[("tenant", &o.tenant_labels[i])],
+                                    &mut o.tenant_bindings[i],
+                                );
                             }
                         }
                         let next = t_us + o.knobs.scrape_interval.as_micros();

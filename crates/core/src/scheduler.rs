@@ -126,6 +126,11 @@ impl ServiceNode {
         self.alive && self.accepting
     }
 
+    /// Accepting and done with its booked work at `now`.
+    fn idle_at(&self, now: SimTime) -> bool {
+        self.accepting() && self.busy_until <= now
+    }
+
     /// The service rate used for Eq. 4 scoring: the EWMA forecast once
     /// observations exist, the profiled capability before that.
     pub fn predicted_rate(&self) -> f64 {
@@ -371,6 +376,13 @@ impl Dispatcher {
             .retain(|k| !(k.session == session && k.seq == seq));
     }
 
+    /// Whether some accepting node is idle at `now`. When none is,
+    /// [`Dispatcher::best_idle_node`] returns `None` for every fill, so
+    /// a caller can skip choosing a request altogether.
+    pub fn has_idle_node(&self, now: SimTime) -> bool {
+        self.nodes.iter().any(|n| n.idle_at(now))
+    }
+
     /// The alive node with the best Eq. 4 score for a request of
     /// `r_fill` that is also *idle* at `now` (its booked queue has
     /// drained). `None` when every live node is mid-request — the
@@ -379,7 +391,7 @@ impl Dispatcher {
     pub fn best_idle_node(&self, r_fill: u64, now: SimTime) -> Option<usize> {
         let mut best: Option<(usize, f64)> = None;
         for (j, node) in self.nodes.iter().enumerate() {
-            if !node.accepting() || node.busy_until > now {
+            if !node.idle_at(now) {
                 continue;
             }
             let score = node.score(r_fill, now);
@@ -504,11 +516,17 @@ impl<T> ReorderBuffer<T> {
     /// Removes and returns every result now deliverable in order.
     pub fn pop_ready(&mut self) -> Vec<T> {
         let mut out = Vec::new();
+        self.pop_ready_into(&mut out);
+        out
+    }
+
+    /// Like [`ReorderBuffer::pop_ready`], appending to `out` so a
+    /// caller draining once per frame can reuse one buffer.
+    pub fn pop_ready_into(&mut self, out: &mut Vec<T>) {
         while let Some(v) = self.pending.remove(&self.next) {
             out.push(v);
             self.next += 1;
         }
-        out
     }
 
     /// Results held waiting for a predecessor.

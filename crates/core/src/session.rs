@@ -613,6 +613,8 @@ struct OffloadEngine {
     wakes_base: u64,
     pending: Vec<PendingFrame>,
     arrived: ReorderBuffer<ArrivedFrame>,
+    /// Reused drain buffer for `arrived`.
+    ready: Vec<ArrivedFrame>,
     presented: Vec<SimTime>,
     next_seq: u64,
     app_free: SimTime,
@@ -1178,9 +1180,12 @@ impl OffloadEngine {
             self.dispatcher.complete_for(p.node, self.session_id, p.seq);
         }
         self.arrived.insert(p.seq, ArrivedFrame { p, down });
-        for af in self.arrived.pop_ready() {
+        let mut ready = std::mem::take(&mut self.ready);
+        self.arrived.pop_ready_into(&mut ready);
+        for af in ready.drain(..) {
             self.present_frame(af);
         }
+        self.ready = ready;
     }
 
     /// Presents one frame (in sequence order, by construction): decode,
@@ -1690,6 +1695,7 @@ fn run_offloaded(
         wakes_base: 0,
         pending: Vec::new(),
         arrived: ReorderBuffer::new(),
+        ready: Vec::new(),
         presented: Vec::new(),
         next_seq: 0,
         app_free: first_up.delivered_at,

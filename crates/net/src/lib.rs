@@ -16,13 +16,11 @@
 //!   the paper selects UDP with an application-layer reliability protocol
 //!   (ref \[19\], UDT-style) instead.
 //!
-//! Modules: [`channel`] (bandwidth/latency/loss), [`estimator`]
-//! (smoothed RTT + loss), [`iface`] (radio power states), [`rudp`] (the
-//! reliable transport), [`multicast`], [`tcp`] (comparison model),
-//! [`switch`] (the dual-radio manager).
+//! Modules: [`channel`] (bandwidth/latency/loss), [`iface`] (radio
+//! power states), [`rudp`] (the reliable transport), [`multicast`],
+//! [`tcp`] (comparison model), [`switch`] (the dual-radio manager).
 
 pub mod channel;
-pub mod estimator;
 pub mod iface;
 pub mod multicast;
 pub mod rudp;

@@ -140,7 +140,17 @@ impl HistogramCore {
     /// non-empty buckets, so scraping every histogram of every
     /// registry each interval stays cheap.
     pub fn snapshot_sparse(&self) -> SparseHistogram {
-        let mut entries = Vec::new();
+        let mut out = SparseHistogram::default();
+        self.snapshot_sparse_into(&mut out);
+        out
+    }
+
+    /// Like [`HistogramCore::snapshot_sparse`], overwriting `out` and
+    /// reusing its bucket storage — the TSDB scrape path recycles the
+    /// point a full ring evicts, so steady-state scrapes do not
+    /// allocate.
+    pub fn snapshot_sparse_into(&self, out: &mut SparseHistogram) {
+        out.entries.clear();
         let lo = self.lo_bucket.load(Ordering::Relaxed);
         if lo != u64::MAX {
             let hi = (self.hi_bucket.load(Ordering::Relaxed) as usize).min(BUCKETS - 1);
@@ -153,25 +163,23 @@ impl HistogramCore {
             {
                 let c = b.load(Ordering::Relaxed);
                 if c > 0 {
-                    entries.push((u32::try_from(i).expect("bucket index fits u32"), c));
+                    out.entries
+                        .push((u32::try_from(i).expect("bucket index fits u32"), c));
                 }
             }
         }
-        SparseHistogram {
-            entries,
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            max: self.max.load(Ordering::Relaxed),
-            min: self.min.load(Ordering::Relaxed),
-            exemplar: if self.ex_has.load(Ordering::Relaxed) != 0 {
-                Some(Exemplar {
-                    value: self.ex_value.load(Ordering::Relaxed),
-                    tag: self.ex_tag.load(Ordering::Relaxed),
-                })
-            } else {
-                None
-            },
-        }
+        out.count = self.count.load(Ordering::Relaxed);
+        out.sum = self.sum.load(Ordering::Relaxed);
+        out.max = self.max.load(Ordering::Relaxed);
+        out.min = self.min.load(Ordering::Relaxed);
+        out.exemplar = if self.ex_has.load(Ordering::Relaxed) != 0 {
+            Some(Exemplar {
+                value: self.ex_value.load(Ordering::Relaxed),
+                tag: self.ex_tag.load(Ordering::Relaxed),
+            })
+        } else {
+            None
+        };
     }
 
     /// Takes a point-in-time copy.
@@ -473,6 +481,20 @@ pub struct SparseHistogram {
     max: u64,
     min: u64,
     exemplar: Option<Exemplar>,
+}
+
+/// The empty histogram, as an empty [`HistogramCore`] snapshots it.
+impl Default for SparseHistogram {
+    fn default() -> Self {
+        SparseHistogram {
+            entries: Vec::new(),
+            count: 0,
+            sum: 0,
+            max: 0,
+            min: u64::MAX,
+            exemplar: None,
+        }
+    }
 }
 
 impl SparseHistogram {

@@ -129,7 +129,7 @@ pub use incident::{
 };
 pub use prof::{HostProfileSnapshot, HostProfiler};
 pub use query::{eval as query_eval, QueryError};
-pub use registry::{Counter, Gauge, Histogram, Registry, WindowedHistogram};
+pub use registry::{Counter, Gauge, Histogram, Registry, ScrapeBinding, WindowedHistogram};
 pub use remote::{ClockOffsetEstimator, RemoteSpan, RemoteSpanLog};
 pub use report::TelemetrySnapshot;
 pub use sample::{FrameVerdict, KeepReason, KeptTrace, TailSampler};

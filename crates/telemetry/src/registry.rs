@@ -23,6 +23,7 @@ use gbooster_sim::time::{SimDuration, SimTime};
 
 use crate::hist::{HistogramCore, HistogramSnapshot, WindowedHistogramCore};
 use crate::report::TelemetrySnapshot;
+use crate::tsdb::{SeriesData, Tsdb};
 
 /// A monotone event counter.
 #[derive(Clone, Debug, Default)]
@@ -103,12 +104,6 @@ impl Histogram {
     /// Takes a point-in-time copy.
     pub fn snapshot(&self) -> crate::hist::HistogramSnapshot {
         self.0.snapshot()
-    }
-
-    /// Takes a point-in-time copy in sparse form (only the non-empty
-    /// buckets) — what the TSDB scrape path stores.
-    pub fn snapshot_sparse(&self) -> crate::hist::SparseHistogram {
-        self.0.snapshot_sparse()
     }
 }
 
@@ -305,52 +300,82 @@ impl Registry {
     /// [`Registry::snapshot`] would materialize three `BTreeMap`s and
     /// re-own every metric name on every scrape; this walks the
     /// instruments in place (same iteration order, so the resulting
-    /// series content is identical) and hands each histogram over in
-    /// sparse form, never materializing a dense snapshot.
+    /// series content is identical to recording each one by name) and
+    /// hands each histogram over in sparse form, never materializing a
+    /// dense snapshot.
+    ///
+    /// `binding` caches the instruments' series ids and is rebuilt
+    /// only when an instrument has been registered since the last
+    /// scrape; otherwise no key is formatted or looked up. A binding
+    /// belongs to one `(registry, db, labels)` triple: start each from
+    /// [`ScrapeBinding::default`] and never share it.
     pub fn scrape_into(
         &self,
-        db: &mut crate::tsdb::Tsdb,
-        at: gbooster_sim::time::SimTime,
+        db: &mut Tsdb,
+        at: SimTime,
         labels: &[(&str, &str)],
+        binding: &mut ScrapeBinding,
     ) {
-        for (&k, v) in self
+        let counters = self
             .inner
             .counters
             .lock()
-            .expect("counter registry poisoned")
-            .iter()
-        {
-            #[allow(clippy::cast_precision_loss)]
-            db.record(at, k, labels, v.get() as f64);
-        }
-        for (&k, v) in self
-            .inner
-            .gauges
-            .lock()
-            .expect("gauge registry poisoned")
-            .iter()
-        {
-            db.record(at, k, labels, v.get());
-        }
-        for (&k, v) in self
+            .expect("counter registry poisoned");
+        let gauges = self.inner.gauges.lock().expect("gauge registry poisoned");
+        let histograms = self
             .inner
             .histograms
             .lock()
-            .expect("histogram registry poisoned")
-            .iter()
-        {
-            db.record_hist_sparse(at, k, labels, v.snapshot_sparse());
-        }
-        for (&k, v) in self
+            .expect("histogram registry poisoned");
+        let windowed = self
             .inner
             .windowed
             .lock()
-            .expect("windowed registry poisoned")
-            .iter()
-        {
-            db.record_hist_sparse(at, k, labels, v.merged_sparse());
+            .expect("windowed registry poisoned");
+        // Instruments are never unregistered, so equal counts mean an
+        // unchanged instrument set.
+        let counts = [
+            counters.len(),
+            gauges.len(),
+            histograms.len(),
+            windowed.len(),
+        ];
+        if binding.counts != counts {
+            let ids = &mut binding.ids;
+            ids.clear();
+            for &k in counters.keys().chain(gauges.keys()) {
+                ids.push(db.series_id(k, labels, SeriesData::scalar));
+            }
+            for &k in histograms.keys().chain(windowed.keys()) {
+                ids.push(db.series_id(k, labels, SeriesData::hist));
+            }
+            binding.counts = counts;
+        }
+        let mut ids = binding.ids.iter().copied();
+        for (c, id) in counters.values().zip(&mut ids) {
+            #[allow(clippy::cast_precision_loss)]
+            db.push_scalar(id, at, c.get() as f64);
+        }
+        for (g, id) in gauges.values().zip(&mut ids) {
+            db.push_scalar(id, at, g.get());
+        }
+        for (h, id) in histograms.values().zip(&mut ids) {
+            db.push_hist(id, at, |slot| h.0.snapshot_sparse_into(slot));
+        }
+        for (w, id) in windowed.values().zip(&mut ids) {
+            db.push_hist(id, at, |slot| *slot = w.merged_sparse());
         }
     }
+}
+
+/// A registry's instruments resolved to [`Tsdb`] series ids, in
+/// registry iteration order (counters, gauges, histograms, windowed),
+/// for [`Registry::scrape_into`].
+#[derive(Clone, Debug, Default)]
+pub struct ScrapeBinding {
+    /// Instrument counts per kind when `ids` was resolved.
+    counts: [usize; 4],
+    ids: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -19,13 +19,23 @@
 //! the oldest point is evicted and counted. The query layer on top
 //! lives in [`crate::query`].
 //!
-//! The write path is on the fabric's scrape cadence (every registry,
-//! every interval), so it must not allocate per sample: the canonical
-//! key is formatted into a scratch buffer reused across records, and
-//! owned strings are built only the first time a series appears.
+//! Series live in a `Vec`; a series' position there is its *id*, and
+//! an ordered key index maps each canonical key to its id. Queries
+//! iterate the index, so answers come out in key order whatever order
+//! the series appeared in.
+//!
+//! Two write paths share the rings. The *named* path
+//! ([`Tsdb::record`], [`Tsdb::record_hist`], [`Tsdb::ingest`]) formats
+//! the canonical key into a scratch buffer reused across records and
+//! does one index lookup per point; owned strings are built only the
+//! first time a series appears. The *bound* path is the fabric's
+//! scrape loop ([`crate::registry::Registry::scrape_into`]): a
+//! registry's instruments are resolved to series ids once, and every
+//! later scrape writes by id with no key formatting and no lookup.
+//! Histogram points reuse the buffer of the point they evict, so a
+//! full ring takes new points without allocating.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::Write as _;
 
 use gbooster_sim::time::SimTime;
 
@@ -47,6 +57,14 @@ pub enum SeriesData {
 }
 
 impl SeriesData {
+    pub(crate) fn scalar() -> Self {
+        SeriesData::Scalar(VecDeque::new())
+    }
+
+    pub(crate) fn hist() -> Self {
+        SeriesData::Hist(VecDeque::new())
+    }
+
     /// Number of stored points.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -92,18 +110,37 @@ impl Series {
 }
 
 /// Fixed-slot ring-buffer TSDB. See the module docs.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Tsdb {
+    /// Ring capacity per series, at least 1.
     slots: usize,
-    /// Canonical key (see [`write_key`]) → series. The map is ordered,
-    /// so iteration — and therefore every query answer — is
+    /// Series storage; a series' index here is its id.
+    series: Vec<Series>,
+    /// Canonical key (see [`write_key`]) → series id. The map is
+    /// ordered, so iteration — and therefore every query answer — is
     /// deterministic.
-    series: BTreeMap<String, Series>,
-    /// Reused key-formatting buffer; always left empty between calls
-    /// so derived equality and clones stay value-based.
+    index: BTreeMap<String, usize>,
+    /// Reused key-formatting buffer; always left empty between calls.
     scratch: String,
     ingested: u64,
     evicted: u64,
+}
+
+/// Value equality: the same series with the same points, compared in
+/// key order, so the order in which series first appeared (their ids)
+/// does not matter.
+impl PartialEq for Tsdb {
+    fn eq(&self, other: &Self) -> bool {
+        self.slots == other.slots
+            && self.ingested == other.ingested
+            && self.evicted == other.evicted
+            && self.index.len() == other.index.len()
+            && self
+                .index
+                .iter()
+                .zip(&other.index)
+                .all(|((ka, &a), (kb, &b))| ka == kb && self.series[a] == other.series[b])
+    }
 }
 
 /// Separators for the canonical key encoding: units 0x1f/0x1e never
@@ -116,18 +153,24 @@ const KV_SEP: char = '\u{1e}';
 /// scrape path); the rare unsorted multi-label call pays one small
 /// sort of borrowed pairs, never string allocations.
 fn write_key(out: &mut String, name: &str, labels: &[(&str, &str)]) {
+    fn push_pair(out: &mut String, k: &str, v: &str) {
+        out.push(KEY_SEP);
+        out.push_str(k);
+        out.push(KV_SEP);
+        out.push_str(v);
+    }
     out.clear();
     out.push_str(name);
     let sorted = labels.windows(2).all(|w| w[0] <= w[1]);
     if sorted {
         for (k, v) in labels {
-            let _ = write!(out, "{KEY_SEP}{k}{KV_SEP}{v}");
+            push_pair(out, k, v);
         }
     } else {
         let mut pairs: Vec<&(&str, &str)> = labels.iter().collect();
         pairs.sort();
         for (k, v) in pairs {
-            let _ = write!(out, "{KEY_SEP}{k}{KV_SEP}{v}");
+            push_pair(out, k, v);
         }
     }
 }
@@ -148,7 +191,8 @@ impl Tsdb {
     pub fn new(slots: usize) -> Self {
         Tsdb {
             slots: slots.max(1),
-            series: BTreeMap::new(),
+            series: Vec::new(),
+            index: BTreeMap::new(),
             scratch: String::new(),
             ingested: 0,
             evicted: 0,
@@ -179,60 +223,101 @@ impl Tsdb {
         self.evicted
     }
 
-    /// The series for `(name, labels)`, created empty via `make` on
-    /// first sight. Allocation-free for existing series.
-    fn series_mut(
+    /// The id of the series for `(name, labels)`, created empty via
+    /// `make` on first sight. One index lookup and no allocation for
+    /// an existing series.
+    pub(crate) fn series_id(
         &mut self,
         name: &str,
         labels: &[(&str, &str)],
         make: fn() -> SeriesData,
-    ) -> &mut SeriesData {
+    ) -> usize {
         let mut scratch = std::mem::take(&mut self.scratch);
         write_key(&mut scratch, name, labels);
-        if !self.series.contains_key(scratch.as_str()) {
-            self.series.insert(
-                scratch.clone(),
-                Series {
+        let id = match self.index.get(scratch.as_str()) {
+            Some(&id) => id,
+            None => {
+                let id = self.series.len();
+                self.series.push(Series {
                     name: name.to_string(),
                     labels: owned_labels(labels),
                     data: make(),
-                },
-            );
-        }
-        let entry = self
-            .series
-            .get_mut(scratch.as_str())
-            .expect("series just ensured");
+                });
+                self.index.insert(scratch.clone(), id);
+                id
+            }
+        };
         scratch.clear();
         self.scratch = scratch;
-        &mut entry.data
+        id
+    }
+
+    /// Writes one point at `t` into `ring`: a point at a timestamp the
+    /// ring already holds is overwritten in place (re-scrape of the
+    /// same instant), keeping timestamps strictly increasing; otherwise
+    /// a full ring evicts its oldest point and `fill` reuses it.
+    fn push_point<V: Default>(
+        ring: &mut VecDeque<(u64, V)>,
+        slots: usize,
+        t: u64,
+        fill: impl FnOnce(&mut V),
+    ) -> (u64, u64) {
+        if let Some(last) = ring.back_mut() {
+            if last.0 == t {
+                fill(&mut last.1);
+                return (0, 0);
+            }
+            debug_assert!(last.0 < t, "out-of-order point");
+        }
+        let over = ring.len() >= slots;
+        let mut value = if over {
+            ring.pop_front().map(|(_, v)| v).unwrap_or_default()
+        } else {
+            V::default()
+        };
+        fill(&mut value);
+        ring.push_back((t, value));
+        (1, u64::from(over))
+    }
+
+    /// Records one scalar point into series `id`.
+    pub(crate) fn push_scalar(&mut self, id: usize, at: SimTime, value: f64) {
+        let series = &mut self.series[id];
+        let SeriesData::Scalar(ring) = &mut series.data else {
+            debug_assert!(false, "scalar point into histogram series {}", series.name);
+            return;
+        };
+        let (ingested, evicted) =
+            Self::push_point(ring, self.slots, at.as_micros(), |v| *v = value);
+        self.ingested += ingested;
+        self.evicted += evicted;
+    }
+
+    /// Records one cumulative histogram point into series `id`; `fill`
+    /// writes the snapshot into the slot (a recycled evicted point when
+    /// the ring is full).
+    pub(crate) fn push_hist(
+        &mut self,
+        id: usize,
+        at: SimTime,
+        fill: impl FnOnce(&mut SparseHistogram),
+    ) {
+        let series = &mut self.series[id];
+        let SeriesData::Hist(ring) = &mut series.data else {
+            debug_assert!(false, "histogram point into scalar series {}", series.name);
+            return;
+        };
+        let (ingested, evicted) = Self::push_point(ring, self.slots, at.as_micros(), fill);
+        self.ingested += ingested;
+        self.evicted += evicted;
     }
 
     /// Records one scalar point. A point at a timestamp the series
     /// already holds overwrites in place (re-scrape of the same
     /// instant), keeping timestamps strictly increasing.
     pub fn record(&mut self, at: SimTime, name: &str, labels: &[(&str, &str)], value: f64) {
-        let slots = self.slots;
-        let entry = self.series_mut(name, labels, || SeriesData::Scalar(VecDeque::new()));
-        let SeriesData::Scalar(ring) = entry else {
-            debug_assert!(false, "scalar point into histogram series {name}");
-            return;
-        };
-        let t = at.as_micros();
-        if let Some(last) = ring.back_mut() {
-            if last.0 == t {
-                last.1 = value;
-                return;
-            }
-            debug_assert!(last.0 < t, "out-of-order point for {name}");
-        }
-        ring.push_back((t, value));
-        let over = ring.len() > slots;
-        if over {
-            ring.pop_front();
-        }
-        self.ingested += 1;
-        self.evicted += u64::from(over);
+        let id = self.series_id(name, labels, SeriesData::scalar);
+        self.push_scalar(id, at, value);
     }
 
     /// Records one cumulative histogram snapshot (stored sparsely).
@@ -243,40 +328,8 @@ impl Tsdb {
         labels: &[(&str, &str)],
         snap: &HistogramSnapshot,
     ) {
-        self.record_hist_sparse(at, name, labels, snap.to_sparse());
-    }
-
-    /// Like [`Tsdb::record_hist`], taking the already-sparse form the
-    /// scrape loop produces ([`crate::registry::Registry::scrape_into`])
-    /// — no dense ~8 KB snapshot is ever materialized on that path.
-    pub fn record_hist_sparse(
-        &mut self,
-        at: SimTime,
-        name: &str,
-        labels: &[(&str, &str)],
-        snap: SparseHistogram,
-    ) {
-        let slots = self.slots;
-        let entry = self.series_mut(name, labels, || SeriesData::Hist(VecDeque::new()));
-        let SeriesData::Hist(ring) = entry else {
-            debug_assert!(false, "histogram point into scalar series {name}");
-            return;
-        };
-        let t = at.as_micros();
-        if let Some(last) = ring.back_mut() {
-            if last.0 == t {
-                last.1 = snap;
-                return;
-            }
-            debug_assert!(last.0 < t, "out-of-order point for {name}");
-        }
-        ring.push_back((t, snap));
-        let over = ring.len() > slots;
-        if over {
-            ring.pop_front();
-        }
-        self.ingested += 1;
-        self.evicted += u64::from(over);
+        let id = self.series_id(name, labels, SeriesData::hist);
+        self.push_hist(id, at, |slot| *slot = snap.to_sparse());
     }
 
     /// Ingests a whole [`TelemetrySnapshot`] at `at`: counters and
@@ -343,7 +396,7 @@ impl Tsdb {
         name: &'a str,
         labels: &'a [(String, String)],
     ) -> impl Iterator<Item = &'a Series> {
-        self.series.values().filter(move |s| {
+        self.series().filter(move |s| {
             s.name == name
                 && labels
                     .iter()
@@ -353,7 +406,7 @@ impl Tsdb {
 
     /// Iterates every series, in key order.
     pub fn series(&self) -> impl Iterator<Item = &Series> {
-        self.series.values()
+        self.index.values().map(|&id| &self.series[id])
     }
 }
 

@@ -235,6 +235,60 @@ fn queries_reconcile_against_the_report() {
     assert!(timeline.contains("\"kept\":"));
 }
 
+/// 64-bit FNV-1a, fed field by field with a separator so adjacent
+/// fields cannot alias.
+struct Fnv(u64);
+
+impl Fnv {
+    fn feed(&mut self, bytes: &[u8]) {
+        for &b in bytes.iter().chain(&[0xff]) {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Everything the chaos run reports that the event loop decides: the
+/// SLO JSON, every TSDB series with its points, the TSDB tallies, the
+/// sampler's kept lines, the fair-share windows, the tenant slices,
+/// the migration timeline and any flight dump.
+/// `Debug` renders every `f64` in round-trip form, so equal digests
+/// mean bit-equal values.
+fn report_digest(report: &FabricReport) -> u64 {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    h.feed(report.slo_json().as_bytes());
+    let db = report.tsdb.as_ref().expect("observer on");
+    for s in db.series() {
+        h.feed(s.name().as_bytes());
+        h.feed(format!("{:?}", s.labels()).as_bytes());
+        h.feed(format!("{:?}", s.data()).as_bytes());
+    }
+    h.feed(&db.ingested().to_le_bytes());
+    h.feed(&db.evicted().to_le_bytes());
+    let sampler = report.sampler.as_ref().expect("observer on");
+    for e in sampler.retained() {
+        h.feed(e.line.as_bytes());
+    }
+    h.feed(format!("{:?}", report.windows).as_bytes());
+    h.feed(format!("{:?}", report.tenants).as_bytes());
+    h.feed(format!("{:?}", report.migrations).as_bytes());
+    for dump in &report.flight {
+        h.feed(dump.to_jsonl().as_bytes());
+    }
+    h.0
+}
+
+/// Golden for the event loop: the digest was captured from the
+/// straightforward all-tenant-scan implementation, so any rewrite of
+/// the loop must reproduce its schedule, RNG draws, TSDB contents and
+/// kept traces exactly — not merely agree with itself across reruns.
+#[test]
+fn chaos_run_matches_the_golden_digest() {
+    assert_eq!(report_digest(&run()), GOLDEN_DIGEST);
+}
+
+const GOLDEN_DIGEST: u64 = 0x3bf0_be35_06ec_ec26;
+
 #[test]
 fn observe_off_report_is_unchanged_and_queryless() {
     let mut cfg = chaos_config();
